@@ -271,26 +271,22 @@ void soak(bool quick) {
   table.print();
 
   // Reconciliation: every stream in this runtime is session-bound, so
-  // the per-tenant slices must sum exactly to the global counters.
-  const RuntimeStats total = runtime.stats();
-  TenantStatsSlice sum;
+  // each per-tenant row summed over the slices must equal its total.
+  std::map<std::string, std::uint64_t> sum;
   for (std::uint32_t t = 1; t <= runtime.tenant_count(); ++t) {
-    const TenantStatsSlice s = runtime.tenant_slice(t);
-    sum.computes_enqueued += s.computes_enqueued;
-    sum.transfers_enqueued += s.transfers_enqueued;
-    sum.syncs_enqueued += s.syncs_enqueued;
-    sum.actions_completed += s.actions_completed;
-    sum.bytes_transferred += s.bytes_transferred;
-    sum.transfers_elided += s.transfers_elided;
-    sum.bytes_elided += s.bytes_elided;
+    for_each_counter(runtime.tenant_slice(t),
+                     [&sum](const char* name, std::uint64_t value) {
+                       sum[name] += value;
+                     });
   }
-  const bool reconciled = sum.computes_enqueued == total.computes_enqueued &&
-                          sum.transfers_enqueued == total.transfers_enqueued &&
-                          sum.syncs_enqueued == total.syncs_enqueued &&
-                          sum.actions_completed == total.actions_completed &&
-                          sum.bytes_transferred == total.bytes_transferred &&
-                          sum.transfers_elided == total.transfers_elided &&
-                          sum.bytes_elided == total.bytes_elided;
+  bool reconciled = !sum.empty();
+  for_each_counter(runtime.stats(),
+                   [&](const char* name, std::uint64_t value) {
+                     const auto it = sum.find(name);
+                     if (it != sum.end() && it->second != value) {
+                       reconciled = false;
+                     }
+                   });
 
   std::uint64_t gate_waits = 0;
   for (const std::uint32_t t : tenants) {

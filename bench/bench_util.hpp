@@ -110,56 +110,24 @@ inline RetryPolicy retry_policy_from_env() {
   return retry;
 }
 
-/// Deleter that folds the runtime's admission-path counters into the
-/// JSON report before teardown: every bench's BENCH_*.json carries
-/// dep_scan_steps / dep_index_hits / lock_shard_contention without
-/// per-bench plumbing (benches build runtimes only through
-/// sim_runtime(), and write_json() runs after the last one dies).
+/// Deleter that folds every runtime counter (core/counters.hpp) into the
+/// JSON report before teardown, so each BENCH_*.json carries them without
+/// per-bench plumbing (benches build runtimes only through sim_runtime(),
+/// and write_json() runs after the last one dies). Multi-tenant runs add
+/// each tenant's slice as tenant<N>_<name>; tenant-free benches register
+/// no tenants and emit none.
 struct CountingRuntimeDeleter {
   void operator()(Runtime* rt) const {
     if (rt == nullptr) {
       return;
     }
-    const RuntimeStats s = rt->stats();
-    report::note_counter("dep_scan_steps", s.dep_scan_steps);
-    report::note_counter("dep_index_hits", s.dep_index_hits);
-    report::note_counter("lock_shard_contention", s.lock_shard_contention);
-    report::note_counter("bytes_transferred", s.bytes_transferred);
-    report::note_counter("transfers_elided", s.transfers_elided);
-    report::note_counter("bytes_elided", s.bytes_elided);
-    report::note_counter("transfer_chunks", s.transfer_chunks);
-    report::note_counter("pipeline_serial_us", s.pipeline_serial_us);
-    report::note_counter("pipeline_actual_us", s.pipeline_actual_us);
-    report::note_counter("checkpoints_taken", s.checkpoints_taken);
-    report::note_counter("checkpoint_bytes_written",
-                         s.checkpoint_bytes_written);
-    report::note_counter("checkpoint_bytes_skipped_clean",
-                         s.checkpoint_bytes_skipped_clean);
-    report::note_counter("restores_performed", s.restores_performed);
-    report::note_counter("evictions", s.evictions);
-    report::note_counter("spill_bytes_written", s.spill_bytes_written);
-    report::note_counter("spill_bytes_dropped_clean",
-                         s.spill_bytes_dropped_clean);
-    report::note_counter("refetches", s.refetches);
-    // Multi-tenant runs: fold each tenant's stats slice into the report
-    // so every bench JSON carries per-tenant attribution (tenant-free
-    // benches register no tenants and emit nothing here).
+    for_each_counter(rt->stats(), report::note_counter);
     for (std::uint32_t t = 1; t <= rt->tenant_count(); ++t) {
-      const TenantStatsSlice slice = rt->tenant_slice(t);
       const std::string prefix = "tenant" + std::to_string(t) + "_";
-      report::note_counter(prefix + "computes_enqueued",
-                           slice.computes_enqueued);
-      report::note_counter(prefix + "transfers_enqueued",
-                           slice.transfers_enqueued);
-      report::note_counter(prefix + "actions_completed",
-                           slice.actions_completed);
-      report::note_counter(prefix + "bytes_transferred",
-                           slice.bytes_transferred);
-      report::note_counter(prefix + "transfers_elided",
-                           slice.transfers_elided);
-      report::note_counter(prefix + "bytes_elided", slice.bytes_elided);
-      report::note_counter(prefix + "placements_steered",
-                           slice.placements_steered);
+      for_each_counter(rt->tenant_slice(t),
+                       [&prefix](const char* name, std::uint64_t value) {
+                         report::note_counter(prefix + name, value);
+                       });
     }
     delete rt;
   }

@@ -194,7 +194,10 @@ Status CheckpointManager::persist(StagedEpoch epoch) {
       committed_chunks_ = std::move(manifest.chunks);
       last_epoch_ = epoch.epoch;
     }
-    runtime_.note_checkpoint(bytes_written, epoch.bytes_skipped);
+    runtime_.count(Counter::checkpoints_taken);
+    runtime_.count(Counter::checkpoint_bytes_written, bytes_written);
+    runtime_.count(Counter::checkpoint_bytes_skipped_clean,
+                   epoch.bytes_skipped);
     return Status::ok();
   } catch (const CrashError&) {
     // The simulated process death: record it (a poisoned manager's disk
@@ -317,7 +320,7 @@ Status CheckpointManager::restore(RestoreInfo& info) {
     actions_at_mark_ = runtime_.stats().actions_completed;
     time_at_mark_ = runtime_.now();
   }
-  runtime_.note_restore();
+  runtime_.count(Counter::restores_performed);
   info.epoch = manifest.epoch;
   info.actions_completed = manifest.actions_completed;
   info.checkpoint_time = manifest.time;

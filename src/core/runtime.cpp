@@ -74,7 +74,7 @@ void Runtime::lock_counted(std::mutex& m) const {
   if (m.try_lock()) {
     return;
   }
-  stats_.lock_shard_contention.fetch_add(1, std::memory_order_relaxed);
+  count(Counter::lock_shard_contention);
   m.lock();
 }
 
@@ -121,9 +121,9 @@ void Runtime::mark_domain_lost(DomainId id) {
       return;  // already declared; the loss is reported exactly once
     }
     domains_[id.value].mark_lost();
-    stats_.domains_lost.fetch_add(1, std::memory_order_relaxed);
+    count(Counter::domains_lost);
     if (!health_[id.value].degraded) {
-      stats_.links_degraded.fetch_add(1, std::memory_order_relaxed);
+      count(Counter::links_degraded);
     }
     health_[id.value].lose();
     push_pending_error(std::make_exception_ptr(
@@ -156,7 +156,7 @@ void Runtime::mark_domain_lost(DomainId id) {
           // Block the successor-unblocking path from dispatching it.
           rec->state = ActionRecord::State::dispatched;
         }
-        stats_.actions_failed.fetch_add(1, std::memory_order_relaxed);
+        count(Counter::actions_failed);
         victims.push_back(rec);
       }
     }
@@ -264,20 +264,24 @@ void Runtime::buffer_instantiate(BufferId id, DomainId domain) {
   require(domain.value < domains_.size(), "unknown domain", Errc::not_found);
   MemKind kind;
   std::size_t size = 0;
+  bool resident = false;
   {
     std::shared_lock buffers(buffers_mutex_);
     Buffer& buf = buffers_.get(id);
-    if (domain == kHostDomain || buf.instantiated_in(domain)) {
-      // Host incarnation aliases user memory; re-instantiation is a
-      // recency touch for the governor's LRU.
-      if (domain != kHostDomain) {
-        const std::scoped_lock gov(gov_mu_);
-        governor_.touch(domain, id);
-      }
-      return;
-    }
+    resident = domain == kHostDomain || buf.instantiated_in(domain);
     kind = buf.props().mem_kind;
     size = buf.size();
+  }
+  if (resident) {
+    // Host incarnation aliases user memory; re-instantiation is a
+    // recency touch for the governor's LRU. The buffers lock is dropped
+    // first (gov_mu_ sits above it); touch ignores an incarnation
+    // evicted in between.
+    if (domain != kHostDomain) {
+      const std::scoped_lock gov(gov_mu_);
+      governor_.touch(domain, id);
+    }
+    return;
   }
   // Admission and instantiation must be one governor critical section:
   // otherwise a racing eviction could victimize the fresh (pins == 0)
@@ -486,10 +490,9 @@ double Runtime::evict_one_locked(DomainId domain, MemKind kind) {
     }
   }
   governor_.release(domain, *victim);
-  stats_.evictions.fetch_add(1, std::memory_order_relaxed);
-  stats_.spill_bytes_written.fetch_add(written, std::memory_order_relaxed);
-  stats_.spill_bytes_dropped_clean.fetch_add(dropped,
-                                             std::memory_order_relaxed);
+  count(Counter::evictions);
+  count(Counter::spill_bytes_written, written);
+  count(Counter::spill_bytes_dropped_clean, dropped);
   log_debug("evicted buffer %u from domain %u (%zu dirty bytes home, %zu "
             "clean bytes dropped)",
             victim->value, domain.value, written, dropped);
@@ -651,7 +654,7 @@ void Runtime::prepare_residency(const std::shared_ptr<ActionRecord>& record) {
           throw;
         }
       }
-      stats_.refetches.fetch_add(1, std::memory_order_relaxed);
+      count(Counter::refetches);
     }
     // Demand re-fetch: restore the ranges this action reads that the
     // host has and the incarnation does not. Ranges the action only
@@ -811,7 +814,7 @@ std::size_t Runtime::stream_cancel(StreamId id) {
       if (undispatched) {
         rec->state = ActionRecord::State::dispatched;
       }
-      stats_.actions_cancelled.fetch_add(1, std::memory_order_relaxed);
+      count(Counter::actions_cancelled);
       victims.push_back(rec);
     }
   }
@@ -1104,7 +1107,7 @@ std::vector<ActionId> Runtime::legacy_blockers(const StreamState& stream,
       out.push_back(earlier->id);
     }
   }
-  stats_.dep_scan_steps.fetch_add(steps, std::memory_order_relaxed);
+  count(Counter::dep_scan_steps, steps);
   return out;
 }
 
@@ -1124,7 +1127,7 @@ std::vector<ActionId> Runtime::indexed_blockers(const StreamState& stream,
         out.push_back(earlier->id);
       }
     }
-    stats_.dep_scan_steps.fetch_add(steps, std::memory_order_relaxed);
+    count(Counter::dep_scan_steps, steps);
   } else {
     std::vector<DepUse>& uses = stream.scratch_uses;  // guarded by stream.mu
     uses.clear();
@@ -1145,7 +1148,7 @@ std::vector<ActionId> Runtime::indexed_blockers(const StreamState& stream,
         out.push_back(use.action);
       }
     }
-    stats_.dep_scan_steps.fetch_add(steps, std::memory_order_relaxed);
+    count(Counter::dep_scan_steps, steps);
     // One edge per conflicting predecessor no matter how many operand
     // pairs overlap — exactly the pairwise scan's semantics. Id order ==
     // admission order within a stream.
@@ -1154,10 +1157,10 @@ std::vector<ActionId> Runtime::indexed_blockers(const StreamState& stream,
                 [](ActionId a, ActionId b) { return a.value < b.value; });
       out.erase(std::unique(out.begin(), out.end()), out.end());
     }
-    stats_.dep_index_hits.fetch_add(out.size(), std::memory_order_relaxed);
+    count(Counter::dep_index_hits, out.size());
   }
   if (config_.dep_oracle) {
-    stats_.dep_oracle_checks.fetch_add(1, std::memory_order_relaxed);
+    count(Counter::dep_oracle_checks);
     const std::vector<ActionId> reference =
         legacy_blockers(stream, record, residue.window);
     if (reference != out) {
@@ -1230,7 +1233,7 @@ bool Runtime::wire_locked(StreamState& stream,
         break;
       }
     }
-    stats_.dep_scan_steps.fetch_add(steps, std::memory_order_relaxed);
+    count(Counter::dep_scan_steps, steps);
   } else {
     for (const ActionId pred : indexed_blockers(stream, *record, residue)) {
       block_on(pred);
@@ -1243,8 +1246,7 @@ bool Runtime::wire_locked(StreamState& stream,
       block_on(batch[pred].record->id);
     }
     if (!batch_preds.empty()) {
-      stats_.deps_reused.fetch_add(batch_preds.size(),
-                                   std::memory_order_relaxed);
+      count(Counter::deps_reused, batch_preds.size());
     }
   }
   stream.window.push_back(record);
@@ -1260,7 +1262,7 @@ bool Runtime::wire_locked(StreamState& stream,
   if (ready) {
     record->state = ActionRecord::State::dispatched;
     if (record != stream.window.front()) {
-      stats_.ooo_dispatches.fetch_add(1, std::memory_order_relaxed);
+      count(Counter::ooo_dispatches);
     }
   }
   {
@@ -1270,28 +1272,19 @@ bool Runtime::wire_locked(StreamState& stream,
     shard.map.emplace(record->id, std::move(dep));
   }
 
-  TenantCounters* tc = slice_of(stream);
+  CounterCells* tc = slice_of(stream);
   switch (record->type) {
     case ActionType::compute:
-      stats_.computes_enqueued.fetch_add(1, std::memory_order_relaxed);
-      if (tc != nullptr) {
-        tc->computes_enqueued.fetch_add(1, std::memory_order_relaxed);
-      }
+      count(Counter::computes_enqueued, 1, tc);
       break;
     case ActionType::transfer:
-      stats_.transfers_enqueued.fetch_add(1, std::memory_order_relaxed);
-      if (tc != nullptr) {
-        tc->transfers_enqueued.fetch_add(1, std::memory_order_relaxed);
-      }
+      count(Counter::transfers_enqueued, 1, tc);
       if (stream.domain == kHostDomain) {
-        stats_.transfers_aliased_away.fetch_add(1, std::memory_order_relaxed);
+        count(Counter::transfers_aliased_away);
       }
       break;
     default:
-      stats_.syncs_enqueued.fetch_add(1, std::memory_order_relaxed);
-      if (tc != nullptr) {
-        tc->syncs_enqueued.fetch_add(1, std::memory_order_relaxed);
-      }
+      count(Counter::syncs_enqueued, 1, tc);
       break;
   }
 
@@ -1330,12 +1323,7 @@ void Runtime::set_capture(CaptureSink* sink) {
 }
 
 std::uint32_t Runtime::note_graph_captured() {
-  stats_.graphs_captured.fetch_add(1, std::memory_order_relaxed);
   return next_graph_id_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Runtime::note_transfers_coalesced(std::uint64_t count) {
-  stats_.transfers_coalesced.fetch_add(count, std::memory_order_relaxed);
 }
 
 void Runtime::admit_prelinked(std::span<const PrelinkedAction> batch,
@@ -1414,7 +1402,7 @@ void Runtime::admit_prelinked(std::span<const PrelinkedAction> batch,
       ready.push_back(entry.record);
     }
   }
-  stats_.graph_replays.fetch_add(1, std::memory_order_relaxed);
+  count(Counter::graph_replays);
   locks.clear();
   for (const auto& record : ready) {
     dispatch(record);
@@ -1462,6 +1450,7 @@ void Runtime::dispatch(const std::shared_ptr<ActionRecord>& record) {
                                         record->pins);
         if (still_blocked) {
           ooc_deferred_.push_back(record);
+          count(Counter::dispatch_parks);
           parked = true;
         }
       }
@@ -1533,7 +1522,7 @@ bool Runtime::try_elide(const std::shared_ptr<ActionRecord>& record) {
     return false;
   }
   if (config_.coherence.oracle && executor_->executes_payloads()) {
-    stats_.coherence_oracle_checks.fetch_add(1, std::memory_order_relaxed);
+    count(Counter::coherence_oracle_checks);
     const std::byte* host = buf->local_address(kHostDomain, t.offset);
     const std::byte* dev = buf->local_address(sink, t.offset);
     bool match = std::memcmp(host, dev, t.length) == 0;
@@ -1555,12 +1544,9 @@ bool Runtime::try_elide(const std::shared_ptr<ActionRecord>& record) {
   record->elided = true;
   const std::uint64_t moved =
       t.peer != kHostDomain ? 2 * t.length : t.length;
-  stats_.transfers_elided.fetch_add(1, std::memory_order_relaxed);
-  stats_.bytes_elided.fetch_add(moved, std::memory_order_relaxed);
-  if (TenantCounters* tc = slice_of(estream)) {
-    tc->transfers_elided.fetch_add(1, std::memory_order_relaxed);
-    tc->bytes_elided.fetch_add(moved, std::memory_order_relaxed);
-  }
+  CounterCells* tc = slice_of(estream);
+  count(Counter::transfers_elided, 1, tc);
+  count(Counter::bytes_elided, moved, tc);
   return true;
 }
 
@@ -1674,12 +1660,9 @@ void Runtime::process_completion(const std::shared_ptr<ActionRecord>& record) {
     // claimed (stream_cancel / mark_domain_lost / fail_action); counting
     // them here again would break the completed+failed+cancelled ==
     // enqueued invariant the loss-stress tests pin down.
-    TenantCounters* tc = slice_of(stream);
+    CounterCells* tc = slice_of(stream);
     if (!rec.cancelled && !rec.failed) {
-      stats_.actions_completed.fetch_add(1, std::memory_order_relaxed);
-      if (tc != nullptr) {
-        tc->actions_completed.fetch_add(1, std::memory_order_relaxed);
-      }
+      count(Counter::actions_completed, 1, tc);
     }
     const DomainId completion_domain = stream.domain;
     if (rec.type == ActionType::transfer && !rec.cancelled && !rec.elided &&
@@ -1688,10 +1671,7 @@ void Runtime::process_completion(const std::shared_ptr<ActionRecord>& record) {
       const std::uint64_t moved = rec.transfer.peer != kHostDomain
                                       ? 2 * rec.transfer.length
                                       : rec.transfer.length;
-      stats_.bytes_transferred.fetch_add(moved, std::memory_order_relaxed);
-      if (tc != nullptr) {
-        tc->bytes_transferred.fetch_add(moved, std::memory_order_relaxed);
-      }
+      count(Counter::bytes_transferred, moved, tc);
     }
     // Coherence bookkeeping (see Buffer): a compute that ran to
     // completion validates the ranges it wrote in its own domain and
@@ -1774,7 +1754,7 @@ void Runtime::process_completion(const std::shared_ptr<ActionRecord>& record) {
         succ->record->state = ActionRecord::State::dispatched;
         if (!succ->stream->window.empty() &&
             succ->record != succ->stream->window.front()) {
-          stats_.ooo_dispatches.fetch_add(1, std::memory_order_relaxed);
+          count(Counter::ooo_dispatches);
         }
         ready.push_back(succ->record);
       }
@@ -1836,7 +1816,7 @@ void Runtime::fail_action(ActionId id, std::exception_ptr error) {
     record->claimed = true;
     record->failed = true;
   }
-  stats_.actions_failed.fetch_add(1, std::memory_order_relaxed);
+  count(Counter::actions_failed);
   {
     const std::scoped_lock lock(mutex_);
     push_pending_error(std::move(error));
@@ -2008,16 +1988,16 @@ FaultDecision Runtime::next_transfer_fault(DomainId domain,
         health_sample(domain, 1.0);
         break;
       case FaultKind::transient_error:
-        stats_.faults_injected.fetch_add(1, std::memory_order_relaxed);
+        count(Counter::faults_injected);
         health_sample(domain, 0.0);
         break;
       case FaultKind::link_stall:
-        stats_.faults_injected.fetch_add(1, std::memory_order_relaxed);
+        count(Counter::faults_injected);
         ++health_[domain.value].stalls;
         health_sample(domain, 0.5);  // succeeded, but late
         break;
       case FaultKind::device_loss:
-        stats_.faults_injected.fetch_add(1, std::memory_order_relaxed);
+        count(Counter::faults_injected);
         // mark_domain_lost (which the executor calls next) pins the
         // health at zero; nothing to sample here.
         break;
@@ -2028,27 +2008,7 @@ FaultDecision Runtime::next_transfer_fault(DomainId domain,
 
 void Runtime::note_transfer_retry(DomainId domain) {
   const std::scoped_lock lock(mutex_);
-  stats_.transfers_retried.fetch_add(1, std::memory_order_relaxed);
   ++health_[domain.value].retries;
-}
-
-void Runtime::note_partial_recovery(std::uint64_t reexecuted) {
-  stats_.partial_recoveries.fetch_add(1, std::memory_order_relaxed);
-  stats_.actions_reexecuted.fetch_add(reexecuted, std::memory_order_relaxed);
-}
-
-void Runtime::note_transfer_chunks(std::uint64_t count) {
-  stats_.transfer_chunks.fetch_add(count, std::memory_order_relaxed);
-}
-
-void Runtime::note_pipeline_span(double serial_s, double actual_s) {
-  const auto us = [](double s) {
-    return static_cast<std::uint64_t>(std::max(0.0, s) * 1e6);
-  };
-  stats_.pipeline_serial_us.fetch_add(us(serial_s),
-                                      std::memory_order_relaxed);
-  stats_.pipeline_actual_us.fetch_add(us(actual_s),
-                                      std::memory_order_relaxed);
 }
 
 void Runtime::note_host_write(const void* proxy, std::size_t len) {
@@ -2134,22 +2094,9 @@ void Runtime::mark_ckpt_dirty(BufferId id, std::size_t offset,
   buffers_.get(id).mark_ckpt_dirty(offset, len);
 }
 
-void Runtime::note_checkpoint(std::uint64_t bytes_written,
-                              std::uint64_t bytes_skipped) {
-  stats_.checkpoints_taken.fetch_add(1, std::memory_order_relaxed);
-  stats_.checkpoint_bytes_written.fetch_add(bytes_written,
-                                            std::memory_order_relaxed);
-  stats_.checkpoint_bytes_skipped_clean.fetch_add(bytes_skipped,
-                                                  std::memory_order_relaxed);
-}
-
-void Runtime::note_restore() {
-  stats_.restores_performed.fetch_add(1, std::memory_order_relaxed);
-}
-
 void Runtime::health_sample(DomainId id, double outcome) {
   if (health_[id.value].sample(outcome, config_.health)) {
-    stats_.links_degraded.fetch_add(1, std::memory_order_relaxed);
+    count(Counter::links_degraded);
     log_error("link to domain %u degraded (health %.3f); steering new work "
               "away", id.value, health_[id.value].score);
   }
@@ -2179,7 +2126,7 @@ DomainId Runtime::pick_healthy(std::span<const DomainId> candidates) {
     }
     if (!health_[c.value].degraded) {
       if (c != preferred) {
-        stats_.placements_steered.fetch_add(1, std::memory_order_relaxed);
+        count(Counter::placements_steered);
       }
       return c;
     }
@@ -2189,7 +2136,7 @@ DomainId Runtime::pick_healthy(std::span<const DomainId> candidates) {
   }
   if (fallback != nullptr) {
     if (*fallback != preferred) {
-      stats_.placements_steered.fetch_add(1, std::memory_order_relaxed);
+      count(Counter::placements_steered);
     }
     return *fallback;
   }
@@ -2213,34 +2160,13 @@ TenantStatsSlice Runtime::tenant_slice(std::uint32_t tenant) const {
   const std::shared_lock lock(tenants_mutex_);
   require(tenant >= 1 && tenant <= tenant_slices_.size(),
           "unknown tenant id", Errc::not_found);
-  const TenantCounters& c = tenant_slices_[tenant - 1];
-  const auto get = [](const std::atomic<std::uint64_t>& v) {
-    return v.load(std::memory_order_relaxed);
-  };
-  TenantStatsSlice out;
-  out.computes_enqueued = get(c.computes_enqueued);
-  out.transfers_enqueued = get(c.transfers_enqueued);
-  out.syncs_enqueued = get(c.syncs_enqueued);
-  out.actions_completed = get(c.actions_completed);
-  out.bytes_transferred = get(c.bytes_transferred);
-  out.transfers_elided = get(c.transfers_elided);
-  out.bytes_elided = get(c.bytes_elided);
-  out.placements_steered = get(c.placements_steered);
-  return out;
-}
-
-void Runtime::note_tenant_placement(std::uint32_t tenant) {
-  const std::shared_lock lock(tenants_mutex_);
-  require(tenant >= 1 && tenant <= tenant_slices_.size(),
-          "unknown tenant id", Errc::not_found);
-  tenant_slices_[tenant - 1].placements_steered.fetch_add(
-      1, std::memory_order_relaxed);
+  return tenant_slices_[tenant - 1].slice();
 }
 
 void Runtime::stream_bind_tenant(StreamId stream, std::uint32_t tenant,
                                  std::uint32_t session) {
   StreamState& s = stream_state(stream);
-  TenantCounters* slice = nullptr;
+  CounterCells* slice = nullptr;
   if (tenant != 0) {
     const std::shared_lock lock(tenants_mutex_);
     require(tenant <= tenant_slices_.size(), "unknown tenant id",
@@ -2285,53 +2211,6 @@ void Runtime::settle_gate(const ActionRecord& record) noexcept {
   if (AdmissionHook* hook = admission_hook_.load(std::memory_order_acquire)) {
     hook->on_complete(record.tenant, record.type, gate_bytes(record));
   }
-}
-
-RuntimeStats Runtime::stats() const {
-  RuntimeStats out;
-  const auto get = [](const std::atomic<std::uint64_t>& a) {
-    return a.load(std::memory_order_relaxed);
-  };
-  out.computes_enqueued = get(stats_.computes_enqueued);
-  out.transfers_enqueued = get(stats_.transfers_enqueued);
-  out.syncs_enqueued = get(stats_.syncs_enqueued);
-  out.actions_completed = get(stats_.actions_completed);
-  out.actions_failed = get(stats_.actions_failed);
-  out.transfers_aliased_away = get(stats_.transfers_aliased_away);
-  out.bytes_transferred = get(stats_.bytes_transferred);
-  out.ooo_dispatches = get(stats_.ooo_dispatches);
-  out.faults_injected = get(stats_.faults_injected);
-  out.transfers_retried = get(stats_.transfers_retried);
-  out.actions_cancelled = get(stats_.actions_cancelled);
-  out.domains_lost = get(stats_.domains_lost);
-  out.graphs_captured = get(stats_.graphs_captured);
-  out.graph_replays = get(stats_.graph_replays);
-  out.deps_reused = get(stats_.deps_reused);
-  out.transfers_coalesced = get(stats_.transfers_coalesced);
-  out.links_degraded = get(stats_.links_degraded);
-  out.placements_steered = get(stats_.placements_steered);
-  out.partial_recoveries = get(stats_.partial_recoveries);
-  out.actions_reexecuted = get(stats_.actions_reexecuted);
-  out.dep_index_hits = get(stats_.dep_index_hits);
-  out.dep_scan_steps = get(stats_.dep_scan_steps);
-  out.lock_shard_contention = get(stats_.lock_shard_contention);
-  out.dep_oracle_checks = get(stats_.dep_oracle_checks);
-  out.transfers_elided = get(stats_.transfers_elided);
-  out.bytes_elided = get(stats_.bytes_elided);
-  out.transfer_chunks = get(stats_.transfer_chunks);
-  out.pipeline_serial_us = get(stats_.pipeline_serial_us);
-  out.pipeline_actual_us = get(stats_.pipeline_actual_us);
-  out.coherence_oracle_checks = get(stats_.coherence_oracle_checks);
-  out.checkpoints_taken = get(stats_.checkpoints_taken);
-  out.checkpoint_bytes_written = get(stats_.checkpoint_bytes_written);
-  out.checkpoint_bytes_skipped_clean =
-      get(stats_.checkpoint_bytes_skipped_clean);
-  out.restores_performed = get(stats_.restores_performed);
-  out.evictions = get(stats_.evictions);
-  out.spill_bytes_written = get(stats_.spill_bytes_written);
-  out.spill_bytes_dropped_clean = get(stats_.spill_bytes_dropped_clean);
-  out.refetches = get(stats_.refetches);
-  return out;
 }
 
 // --- TaskContext -------------------------------------------------------------

@@ -31,6 +31,7 @@
 
 #include "core/action.hpp"
 #include "core/buffer.hpp"
+#include "core/counters.hpp"
 #include "core/domain.hpp"
 #include "core/executor.hpp"
 #include "core/memory_governor.hpp"
@@ -55,94 +56,6 @@ struct OperandRef {
   const void* ptr = nullptr;
   std::size_t len = 0;
   Access access = Access::in;
-};
-
-/// Counters exposed for the overhead bench and tests.
-struct RuntimeStats {
-  std::uint64_t computes_enqueued = 0;
-  std::uint64_t transfers_enqueued = 0;
-  std::uint64_t syncs_enqueued = 0;
-  std::uint64_t actions_completed = 0;
-  std::uint64_t actions_failed = 0;  ///< task bodies that threw
-  std::uint64_t transfers_aliased_away = 0;  ///< host-as-target no-ops
-  std::uint64_t bytes_transferred = 0;
-  std::uint64_t ooo_dispatches = 0;  ///< actions dispatched past an earlier
-                                     ///< incomplete action (relaxed only)
-  std::uint64_t faults_injected = 0;    ///< interconnect faults delivered
-  std::uint64_t transfers_retried = 0;  ///< backoff retries after transients
-  std::uint64_t actions_cancelled = 0;  ///< drained by stream_cancel
-  std::uint64_t domains_lost = 0;       ///< devices declared dead
-  std::uint64_t graphs_captured = 0;    ///< task graphs recorded (graph/)
-  std::uint64_t graph_replays = 0;      ///< graph launches via admit_prelinked
-  std::uint64_t deps_reused = 0;  ///< captured dependence edges replayed
-                                  ///< without re-running conflict analysis
-  std::uint64_t transfers_coalesced = 0;  ///< transfer nodes merged by
-                                          ///< graph::coalesce_transfers
-  std::uint64_t links_degraded = 0;    ///< links that crossed into degraded
-  std::uint64_t placements_steered = 0;  ///< pick_healthy calls that avoided
-                                         ///< a degraded (or dead) choice
-  std::uint64_t partial_recoveries = 0;  ///< graph-based subset re-launches
-  std::uint64_t actions_reexecuted = 0;  ///< actions re-admitted by recovery
-  std::uint64_t dep_index_hits = 0;   ///< dependence edges found via the
-                                      ///< per-buffer interval index
-  std::uint64_t dep_scan_steps = 0;   ///< elementary dependence-analysis
-                                      ///< steps: index segments/entries
-                                      ///< visited plus window entries
-                                      ///< scanned on strict/barrier/oracle
-                                      ///< paths
-  std::uint64_t lock_shard_contention = 0;  ///< contended acquisitions of a
-                                            ///< stream or dep-shard lock
-  std::uint64_t dep_oracle_checks = 0;  ///< admissions cross-checked against
-                                        ///< the legacy pairwise scan
-  std::uint64_t transfers_elided = 0;  ///< transfers completed as no-ops:
-                                       ///< destination range already valid
-  std::uint64_t bytes_elided = 0;      ///< bytes those no-ops did not move
-  std::uint64_t transfer_chunks = 0;   ///< chunks of pipelined multi-hop
-                                       ///< transfers submitted by executors
-  std::uint64_t pipeline_serial_us = 0;  ///< modeled serial (unchunked
-                                         ///< two-hop) micros of pipelined
-                                         ///< transfers
-  std::uint64_t pipeline_actual_us = 0;  ///< observed micros of the same
-                                         ///< transfers; serial/actual is
-                                         ///< the hop-overlap ratio
-  std::uint64_t coherence_oracle_checks = 0;  ///< elisions cross-checked
-                                              ///< byte-for-byte
-                                              ///< (CoherenceConfig::oracle)
-  std::uint64_t checkpoints_taken = 0;   ///< durable epochs committed
-  std::uint64_t checkpoint_bytes_written = 0;  ///< chunk payload bytes
-                                               ///< persisted across epochs
-  std::uint64_t checkpoint_bytes_skipped_clean = 0;  ///< bytes the validity
-                                                     ///< maps proved unchanged
-                                                     ///< since the last epoch
-  std::uint64_t restores_performed = 0;  ///< restore_from_checkpoint calls
-                                         ///< that rebound buffer contents
-  std::uint64_t evictions = 0;  ///< incarnations spilled by the memory
-                                ///< governor to make room under a budget
-  std::uint64_t spill_bytes_written = 0;  ///< dirty bytes synced home by
-                                          ///< evictions (validity-map
-                                          ///< minimized writeback)
-  std::uint64_t spill_bytes_dropped_clean = 0;  ///< valid-but-clean bytes
-                                                ///< evictions dropped without
-                                                ///< any copy
-  std::uint64_t refetches = 0;  ///< spilled incarnations re-admitted on
-                                ///< demand at dispatch (read ranges
-                                ///< re-uploaded from the home copy)
-};
-
-/// Per-tenant slice of the runtime counters (service mode). Counted at
-/// exactly the same sites as the matching RuntimeStats fields whenever
-/// the enqueuing stream carries a tenant binding, so for a run where
-/// every stream is bound, sum-of-slices == the global totals.
-struct TenantStatsSlice {
-  std::uint64_t computes_enqueued = 0;
-  std::uint64_t transfers_enqueued = 0;
-  std::uint64_t syncs_enqueued = 0;
-  std::uint64_t actions_completed = 0;
-  std::uint64_t bytes_transferred = 0;
-  std::uint64_t transfers_elided = 0;
-  std::uint64_t bytes_elided = 0;
-  std::uint64_t placements_steered = 0;  ///< counted by the service layer
-                                         ///< (stream placement decisions)
 };
 
 /// Byte-range coherence knobs: online transfer elision and the chunked
@@ -476,13 +389,9 @@ class Runtime {
   void admit_prelinked(std::span<const PrelinkedAction> batch,
                        std::uint32_t graph_id);
 
-  /// Counts one finished capture and hands out the graph's id (ids start
-  /// at 1; 0 marks eager actions).
+  /// Hands out the id of a finished capture (ids start at 1; 0 marks
+  /// eager actions).
   [[nodiscard]] std::uint32_t note_graph_captured();
-
-  /// Counts transfer nodes graph::coalesce_transfers merged into a
-  /// neighbour.
-  void note_transfers_coalesced(std::uint64_t count);
 
   // --- Synchronization (host side) ----------------------------------------
   void stream_synchronize(StreamId stream);
@@ -526,11 +435,6 @@ class Runtime {
   /// checkpoint/checkpoint.cpp.
   Status restore_from_checkpoint(ckpt::CheckpointManager& manager,
                                  ckpt::RestoreInfo* info = nullptr);
-  /// Counts one committed epoch: `bytes_written` chunk payload bytes
-  /// persisted, `bytes_skipped` proven clean and skipped.
-  void note_checkpoint(std::uint64_t bytes_written, std::uint64_t bytes_skipped);
-  /// Counts one completed restore.
-  void note_restore();
 
   // --- Multi-tenant service mode (service/) --------------------------------
   /// Registers a tenant counter slice and returns its id (ids start at
@@ -540,8 +444,6 @@ class Runtime {
   [[nodiscard]] std::size_t tenant_count() const;
   /// Snapshot of one tenant's counter slice.
   [[nodiscard]] TenantStatsSlice tenant_slice(std::uint32_t tenant) const;
-  /// Counts a service-layer placement decision into `tenant`'s slice.
-  void note_tenant_placement(std::uint32_t tenant);
   /// Binds `stream` to (`tenant`, `session`): subsequent enqueues are
   /// stamped with the ids, counted into the tenant's slice, and gated by
   /// the admission hook. Bind before enqueuing (the binding is read
@@ -558,7 +460,17 @@ class Runtime {
   }
 
   // --- Introspection -------------------------------------------------------
-  [[nodiscard]] RuntimeStats stats() const;
+  [[nodiscard]] RuntimeStats stats() const { return counters_.totals(); }
+  /// Adds `n` to counter `c` (core/counters.hpp) with one relaxed atomic
+  /// add; lock-free, from any thread. A non-null `slice` (a tenant's
+  /// cells, runtime-internal) takes the same add for a `tenant` row.
+  void count(Counter c, std::uint64_t n = 1,
+             CounterCells* slice = nullptr) const noexcept {
+    counters_.add(c, n);
+    if (slice != nullptr) {
+      slice->add(c, n);
+    }
+  }
   [[nodiscard]] double now() const { return executor_->now(); }
   /// Attaches an execution-trace recorder (nullptr detaches). The caller
   /// keeps ownership; the recorder must outlive all runtime activity.
@@ -595,19 +507,9 @@ class Runtime {
   [[nodiscard]] FaultDecision next_transfer_fault(DomainId domain,
                                                   std::uint64_t transfer,
                                                   int attempt);
-  /// Counts one backoff retry of a transient transfer failure on the
-  /// link to `domain`.
+  /// Folds one backoff retry of a transient transfer failure into the
+  /// health record of the link to `domain`.
   void note_transfer_retry(DomainId domain);
-  /// Counts `count` chunks of a pipelined multi-hop transfer submitted
-  /// by an executor.
-  void note_transfer_chunks(std::uint64_t count);
-  /// Records one pipelined transfer's modeled serial two-hop duration
-  /// vs. its observed duration (both in seconds; accumulated as micros —
-  /// the pipeline overlap ratio is serial/actual at report time).
-  void note_pipeline_span(double serial_s, double actual_s);
-  /// Counts one graph-based partial recovery that re-admitted
-  /// `reexecuted` actions (graph/replay.cpp).
-  void note_partial_recovery(std::uint64_t reexecuted);
   [[nodiscard]] const RetryPolicy& retry_policy() const noexcept {
     return config_.retry;
   }
@@ -629,20 +531,6 @@ class Runtime {
   struct BarrierRef {
     ActionId action;
     std::uint64_t seq = 0;
-  };
-
-  /// Atomic mirror of TenantStatsSlice (same fields, same counting
-  /// sites as AtomicStats): one per registered tenant, pointer-stable in
-  /// tenant_slices_, bumped lock-free through StreamState::slice.
-  struct TenantCounters {
-    std::atomic<std::uint64_t> computes_enqueued{0};
-    std::atomic<std::uint64_t> transfers_enqueued{0};
-    std::atomic<std::uint64_t> syncs_enqueued{0};
-    std::atomic<std::uint64_t> actions_completed{0};
-    std::atomic<std::uint64_t> bytes_transferred{0};
-    std::atomic<std::uint64_t> transfers_elided{0};
-    std::atomic<std::uint64_t> bytes_elided{0};
-    std::atomic<std::uint64_t> placements_steered{0};
   };
 
   /// Per-stream admission state. `mu` serializes admissions into and
@@ -675,7 +563,7 @@ class Runtime {
     /// bump per-tenant counters without any tenant-table lock.
     std::atomic<std::uint32_t> tenant{0};
     std::atomic<std::uint32_t> session{0};
-    std::atomic<TenantCounters*> slice{nullptr};
+    std::atomic<CounterCells*> slice{nullptr};
   };
 
   // Dependence bookkeeping attached per action, keyed by id. The owning
@@ -780,7 +668,7 @@ class Runtime {
 
   /// The per-tenant counter slice for `stream`'s binding (nullptr when
   /// unbound). Lock-free.
-  [[nodiscard]] TenantCounters* slice_of(const StreamState& stream) const {
+  [[nodiscard]] CounterCells* slice_of(const StreamState& stream) const {
     return stream.slice.load(std::memory_order_acquire);
   }
 
@@ -873,49 +761,6 @@ class Runtime {
   /// or budget capacity frees (completion, deinstantiate, destroy).
   void retry_deferred();
 
-  /// Mirrors RuntimeStats as relaxed atomics so hot paths never take a
-  /// lock to count. stats() snapshots it.
-  struct AtomicStats {
-    std::atomic<std::uint64_t> computes_enqueued{0};
-    std::atomic<std::uint64_t> transfers_enqueued{0};
-    std::atomic<std::uint64_t> syncs_enqueued{0};
-    std::atomic<std::uint64_t> actions_completed{0};
-    std::atomic<std::uint64_t> actions_failed{0};
-    std::atomic<std::uint64_t> transfers_aliased_away{0};
-    std::atomic<std::uint64_t> bytes_transferred{0};
-    std::atomic<std::uint64_t> ooo_dispatches{0};
-    std::atomic<std::uint64_t> faults_injected{0};
-    std::atomic<std::uint64_t> transfers_retried{0};
-    std::atomic<std::uint64_t> actions_cancelled{0};
-    std::atomic<std::uint64_t> domains_lost{0};
-    std::atomic<std::uint64_t> graphs_captured{0};
-    std::atomic<std::uint64_t> graph_replays{0};
-    std::atomic<std::uint64_t> deps_reused{0};
-    std::atomic<std::uint64_t> transfers_coalesced{0};
-    std::atomic<std::uint64_t> links_degraded{0};
-    std::atomic<std::uint64_t> placements_steered{0};
-    std::atomic<std::uint64_t> partial_recoveries{0};
-    std::atomic<std::uint64_t> actions_reexecuted{0};
-    std::atomic<std::uint64_t> dep_index_hits{0};
-    std::atomic<std::uint64_t> dep_scan_steps{0};
-    std::atomic<std::uint64_t> lock_shard_contention{0};
-    std::atomic<std::uint64_t> dep_oracle_checks{0};
-    std::atomic<std::uint64_t> transfers_elided{0};
-    std::atomic<std::uint64_t> bytes_elided{0};
-    std::atomic<std::uint64_t> transfer_chunks{0};
-    std::atomic<std::uint64_t> pipeline_serial_us{0};
-    std::atomic<std::uint64_t> pipeline_actual_us{0};
-    std::atomic<std::uint64_t> coherence_oracle_checks{0};
-    std::atomic<std::uint64_t> checkpoints_taken{0};
-    std::atomic<std::uint64_t> checkpoint_bytes_written{0};
-    std::atomic<std::uint64_t> checkpoint_bytes_skipped_clean{0};
-    std::atomic<std::uint64_t> restores_performed{0};
-    std::atomic<std::uint64_t> evictions{0};
-    std::atomic<std::uint64_t> spill_bytes_written{0};
-    std::atomic<std::uint64_t> spill_bytes_dropped_clean{0};
-    std::atomic<std::uint64_t> refetches{0};
-  };
-
   RuntimeConfig config_;
   std::unique_ptr<Executor> executor_;
   Topology topology_;
@@ -979,11 +824,12 @@ class Runtime {
   /// Tenant counter slices, indexed by tenant id - 1. Deque: entries are
   /// pointer-stable, so StreamState::slice and hot paths never take
   /// tenants_mutex_ (which guards only registration and snapshots).
-  std::deque<TenantCounters> tenant_slices_;
+  std::deque<CounterCells> tenant_slices_;
   mutable std::shared_mutex tenants_mutex_;
   std::atomic<AdmissionHook*> admission_hook_{nullptr};
-  /// Mutable: const introspection paths still count scan steps.
-  mutable AtomicStats stats_;
+  /// Every counter's global total. Mutable: const introspection paths
+  /// still count scan steps.
+  mutable CounterCells counters_;
   /// Unreported sink errors, oldest first (bounded; see push_pending_error).
   std::deque<std::exception_ptr> pending_errors_;
   FaultInjector injector_;

@@ -58,8 +58,10 @@ void ThreadedExecutor::RetryTimer::schedule_after(double delay_s,
     if (!thread_.joinable()) {
       thread_ = std::thread([this] { timer_main(); });
     }
+    // Notified under the lock: ~RetryTimer cannot destroy cv_ while a
+    // scheduler is still inside notify_all.
+    cv_.notify_all();
   }
-  cv_.notify_all();
 }
 
 void ThreadedExecutor::RetryTimer::timer_main() {
@@ -96,10 +98,10 @@ void ThreadedExecutor::begin_work() {
 }
 
 void ThreadedExecutor::end_work() {
-  {
-    const std::scoped_lock lock(work_mutex_);
-    --in_flight_;
-  }
+  // Notified under the lock, so a quiesce() that returns (and lets the
+  // owner tear the executor down) never races a notify still running.
+  const std::scoped_lock lock(work_mutex_);
+  --in_flight_;
   work_cv_.notify_all();
 }
 
@@ -259,6 +261,7 @@ void ThreadedExecutor::submit_peer_attempt(
         runtime_->mark_domain_lost(sink);
         return;
       }
+      runtime_->count(Counter::transfers_retried);
       runtime_->note_transfer_retry(sink);
       retry_timer_->schedule_after(
           retry.backoff_seconds(failures),
@@ -280,7 +283,7 @@ void ThreadedExecutor::submit_peer_attempt(
             : t.length;
     const std::size_t count = (t.length + chunk - 1) / chunk;
     if (count > 1) {
-      runtime_->note_transfer_chunks(count);
+      runtime_->count(Counter::transfer_chunks, count);
     }
     struct Joint {
       std::atomic<std::size_t> remaining{0};
@@ -366,6 +369,7 @@ void ThreadedExecutor::submit_transfer_attempt(
         runtime_->mark_domain_lost(domain);
         return;
       }
+      runtime_->count(Counter::transfers_retried);
       runtime_->note_transfer_retry(domain);
       // Requeue instead of sleeping: the copier stays free for other
       // domains' transfers while this one waits out its backoff (a

@@ -109,6 +109,12 @@ class ThreadedExecutor final : public Executor {
 
   ThreadedExecutorConfig config_;
   Runtime* runtime_ = nullptr;
+  // In-flight accounting, declared before every thread owner so it is
+  // destroyed after them: pool threads (and retries the timer hands back
+  // at shutdown) call end_work() until their pools have joined.
+  std::mutex work_mutex_;
+  std::condition_variable work_cv_;
+  std::size_t in_flight_ = 0;
   std::mutex setup_mutex_;  // guards lazily-built pools/teams
   std::map<DomainId, std::unique_ptr<ThreadPool>> pools_;
   std::map<StreamId, TeamEntry> teams_;
@@ -118,9 +124,6 @@ class ThreadedExecutor final : public Executor {
   std::unique_ptr<RetryTimer> retry_timer_;
   std::atomic<std::size_t> next_copier_{0};
   std::chrono::steady_clock::time_point epoch_;
-  std::mutex work_mutex_;
-  std::condition_variable work_cv_;
-  std::size_t in_flight_ = 0;
 };
 
 }  // namespace hs

@@ -117,6 +117,7 @@ TaskGraph GraphCapture::finish() {
   }
 
   TaskGraph graph;
+  runtime_.count(Counter::graphs_captured);
   graph.id = runtime_.note_graph_captured();
   graph.nodes = std::move(nodes_);
   graph.streams = std::move(streams_);

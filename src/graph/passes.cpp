@@ -79,7 +79,7 @@ std::size_t coalesce_transfers(TaskGraph& graph, Runtime* runtime) {
   graph.nodes = std::move(out);
   graph.validate();
   if (runtime != nullptr && merged != 0) {
-    runtime->note_transfers_coalesced(merged);
+    runtime->count(Counter::transfers_coalesced, merged);
   }
   return merged;
 }

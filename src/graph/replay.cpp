@@ -151,7 +151,8 @@ GraphExec::Launch GraphExec::launch_subset(
   }
 
   if (count_recovery) {
-    runtime_.note_partial_recovery(nodes.size());
+    runtime_.count(Counter::partial_recoveries);
+    runtime_.count(Counter::actions_reexecuted, nodes.size());
   }
   runtime_.admit_prelinked(batch, graph_.id);
   return out;

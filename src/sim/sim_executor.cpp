@@ -156,6 +156,7 @@ void SimExecutor::start_transfer_attempt(
       runtime_->mark_domain_lost(domain);
       return;
     }
+    runtime_->count(Counter::transfers_retried);
     runtime_->note_transfer_retry(domain);
     // Exponential backoff in virtual time, then re-attempt.
     queue_.schedule_after(
@@ -224,6 +225,10 @@ struct PeerPipeline {
   }
 };
 
+std::uint64_t micros(double seconds) {
+  return static_cast<std::uint64_t>(std::max(0.0, seconds) * 1e6);
+}
+
 }  // namespace
 
 void SimExecutor::start_peer_attempt(
@@ -260,6 +265,7 @@ void SimExecutor::start_peer_attempt(
       runtime_->mark_domain_lost(sink);
       return;
     }
+    runtime_->count(Counter::transfers_retried);
     runtime_->note_transfer_retry(sink);
     queue_.schedule_after(
         retry.backoff_seconds(failures),
@@ -286,7 +292,7 @@ void SimExecutor::start_peer_attempt(
   }
   p->done = std::move(done);
   if (p->count > 1) {
-    runtime_->note_transfer_chunks(p->count);
+    runtime_->count(Counter::transfer_chunks, p->count);
   }
   // Hop 1 (peer -> host staging), chunks chained serially.
   p->advance_hop1 = [this, p] {
@@ -355,8 +361,11 @@ void SimExecutor::start_peer_attempt(
                               p->total) +
                           runtime_->link_for(p->sink).transfer_seconds(
                               p->total);
-                      runtime_->note_pipeline_span(serial,
-                                                   queue_.now() - p->start_s);
+                      // Micros; serial/actual is the hop-overlap ratio.
+                      runtime_->count(Counter::pipeline_serial_us,
+                                      micros(serial));
+                      runtime_->count(Counter::pipeline_actual_us,
+                                      micros(queue_.now() - p->start_s));
                     }
                     auto finish = std::move(p->done);
                     p->advance_hop1 = nullptr;  // break the shared_ptr cycle

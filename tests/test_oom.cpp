@@ -15,7 +15,8 @@
 //    bytes to the same workload under an ample budget, on both backends,
 //    with the coherence oracle byte-checking every elision;
 //  * Cholesky (tile_buffers) and matmul complete bit-identically at
-//    ~3x a card's memory budget on both backends;
+//    ~3x a card's memory budget on both backends, and dispatches park
+//    (dispatch_parks) only when the budget is tight;
 //  * the service layer refunds a tenant's device-resident quota at
 //    eviction, re-charges at refetch, and vetoes a refetch that would
 //    breach the quota.
@@ -463,6 +464,12 @@ TEST(OutOfCore, CholeskyCompletesAtThreeTimesTheBudget) {
         << (backend == Backend::threaded ? "threaded" : "sim");
     EXPECT_GT(tight_stats.evictions, 0u);
     EXPECT_EQ(ample_stats.evictions, 0u);
+    // Dispatches park only behind other actions' pins, never with room
+    // to spare; the sim schedule is deterministic and parks.
+    EXPECT_EQ(ample_stats.dispatch_parks, 0u);
+    if (backend == Backend::simulated) {
+      EXPECT_GT(tight_stats.dispatch_parks, 0u);
+    }
   }
 }
 

@@ -4,9 +4,14 @@
 // paper's evaluation this repository reproduces. These tests pin the
 // headline claims at reduced problem sizes, so a calibration or
 // scheduler change that silently breaks the reproduction fails CI
-// instead of being discovered by rereading bench output.
+// instead of being discovered by rereading bench output. The last test
+// pins the output surfaces those numbers are read from: every runtime
+// counter reaches bench JSON and hsinfo.
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <string>
 
 #include "apps/cholesky.hpp"
 #include "apps/lu.hpp"
@@ -231,6 +236,40 @@ TEST(Fig3Parity, OpenClKernelClassRemainsCatastrophic) {
   const double tuned = knc.task_gflops("dgemm", 2e12, 240);
   const double opencl = knc.task_gflops("opencl_gemm", 2e12, 240);
   EXPECT_GT(tuned / opencl, 20.0);  // paper: 916 vs 35
+}
+
+// Every row of core/counters.hpp reaches the bench JSON counters (per
+// tenant too, for the `tenant` rows) and hsinfo's report, with no
+// per-counter code on either surface.
+TEST(CounterSurfaces, EveryCounterReachesBenchJsonAndHsinfo) {
+  report::counters().clear();
+  {
+    auto rt = sim_runtime(sim::hsw_plus_knc(1));
+    (void)rt->tenant_register();
+  }
+  const auto& noted = report::counters();
+  for_each_counter(RuntimeStats{}, [&noted](const char* name, std::uint64_t) {
+    EXPECT_TRUE(noted.contains(name)) << name;
+  });
+  for_each_counter(TenantStatsSlice{},
+                   [&noted](const char* name, std::uint64_t) {
+                     EXPECT_TRUE(noted.contains(std::string("tenant1_") + name))
+                         << name;
+                   });
+  report::counters().clear();
+
+  FILE* pipe = popen(HS_HSINFO_PATH, "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string out;
+  char chunk[4096];
+  while (const std::size_t n = std::fread(chunk, 1, sizeof chunk, pipe)) {
+    out.append(chunk, n);
+  }
+  ASSERT_EQ(pclose(pipe), 0);
+  for_each_counter(RuntimeStats{}, [&out](const char* name, std::uint64_t) {
+    EXPECT_NE(out.find("\n  " + std::string(name) + " "), std::string::npos)
+        << name;
+  });
 }
 
 }  // namespace

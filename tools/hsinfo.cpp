@@ -17,6 +17,9 @@
 // trailing --key=value flags and are echoed back in the report:
 //   --fault-seed=N --p-loss=X --p-transient=X --p-stall=X --stall-us=X
 //   --retry-max=N --backoff-us=X --backoff-mult=X
+//
+// Each probe prints the runtime counters it moved; the report then lists
+// every counter of core/counters.hpp with its value and what it counts.
 
 #include <cinttypes>
 #include <cstdio>
@@ -25,6 +28,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "checkpoint/checkpoint.hpp"
 #include "checkpoint/manifest.hpp"
@@ -50,6 +55,38 @@ const char* flag_value(int argc, char** argv, const char* name) {
 double flag_double(int argc, char** argv, const char* name, double fallback) {
   const char* v = flag_value(argc, argv, name);
   return v != nullptr ? std::atof(v) : fallback;
+}
+
+/// Prints " name=value" for every counter of `stats` that differs from
+/// `base` (the value printed is the difference; a default `base` prints
+/// every non-zero counter), wrapped to lines of at most 80 columns.
+template <typename Stats>
+void print_counters(const Stats& stats, const Stats& base = {},
+                    const std::string& indent = " ") {
+  std::vector<std::uint64_t> from;
+  hs::for_each_counter(base, [&from](const char*, std::uint64_t value) {
+    from.push_back(value);
+  });
+  std::string line = indent;
+  std::size_t i = 0;
+  hs::for_each_counter(stats, [&](const char* name, std::uint64_t value) {
+    const std::uint64_t delta = value - from[i++];
+    if (delta == 0) {
+      return;
+    }
+    char item[128];
+    const auto len = static_cast<std::size_t>(
+        std::snprintf(item, sizeof item, " %s=%llu", name,
+                      static_cast<unsigned long long>(delta)));
+    if (line.size() > indent.size() && line.size() + len > 80) {
+      std::printf("%s\n", line.c_str());
+      line = indent;
+    }
+    line += item;
+  });
+  if (line.size() > indent.size()) {
+    std::printf("%s\n", line.c_str());
+  }
 }
 
 /// --inspect-checkpoint=<dir>: dump and verify every committed epoch.
@@ -233,15 +270,9 @@ int main(int argc, char** argv) {
       }
     }
     runtime.synchronize();
-    const RuntimeStats stats = runtime.stats();
     std::printf("\nadmission path (%zu streams x %zu actions):\n", kStreams,
                 kActionsPerStream);
-    std::printf("  dep_index_hits=%llu dep_scan_steps=%llu "
-                "lock_shard_contention=%llu dep_oracle_checks=%llu\n",
-                static_cast<unsigned long long>(stats.dep_index_hits),
-                static_cast<unsigned long long>(stats.dep_scan_steps),
-                static_cast<unsigned long long>(stats.lock_shard_contention),
-                static_cast<unsigned long long>(stats.dep_oracle_checks));
+    print_counters(runtime.stats());
   }
 
   // Byte-range coherence: config echo (see DESIGN.md "Byte-range
@@ -270,17 +301,9 @@ int main(int argc, char** argv) {
       (void)runtime.enqueue_transfer(stream, probe_data, sizeof probe_data,
                                      XferDir::src_to_sink);
       runtime.synchronize();
-      const RuntimeStats after = runtime.stats();
-      std::printf("  probe (same %zu-byte upload twice): "
-                  "transfers_elided=%llu bytes_elided=%llu "
-                  "bytes_transferred=%llu\n",
-                  sizeof probe_data,
-                  static_cast<unsigned long long>(after.transfers_elided -
-                                                  before.transfers_elided),
-                  static_cast<unsigned long long>(after.bytes_elided -
-                                                  before.bytes_elided),
-                  static_cast<unsigned long long>(after.bytes_transferred -
-                                                  before.bytes_transferred));
+      std::printf("  probe (same %zu-byte upload twice):\n",
+                  sizeof probe_data);
+      print_counters(runtime.stats(), before, "   ");
     }
   }
 
@@ -293,6 +316,7 @@ int main(int argc, char** argv) {
     char tmpl[] = "/tmp/hsinfo_ckpt_XXXXXX";
     char* tmp = mkdtemp(tmpl);
     if (tmp != nullptr) {
+      const RuntimeStats before = runtime.stats();
       static double ckpt_data[1024];
       const BufferId probe = runtime.buffer_create(ckpt_data, sizeof ckpt_data);
       {
@@ -303,23 +327,12 @@ int main(int argc, char** argv) {
         manager.checkpoint().expect("hsinfo: checkpoint probe epoch 1");
         runtime.note_host_write(ckpt_data, 16 * sizeof(double));
         manager.checkpoint().expect("hsinfo: checkpoint probe epoch 2");
-        RuntimeStats cstats = runtime.stats();
         runtime.restore_from_checkpoint(manager)
             .expect("hsinfo: checkpoint probe restore");
-        cstats = runtime.stats();
         std::printf("\ndurable checkpoint (probe: %zu-byte buffer, full + "
                     "128-byte incremental epoch, restore):\n",
                     sizeof ckpt_data);
-        std::printf("  checkpoints_taken=%llu checkpoint_bytes_written=%llu "
-                    "checkpoint_bytes_skipped_clean=%llu "
-                    "restores_performed=%llu\n",
-                    static_cast<unsigned long long>(cstats.checkpoints_taken),
-                    static_cast<unsigned long long>(
-                        cstats.checkpoint_bytes_written),
-                    static_cast<unsigned long long>(
-                        cstats.checkpoint_bytes_skipped_clean),
-                    static_cast<unsigned long long>(
-                        cstats.restores_performed));
+        print_counters(runtime.stats(), before);
         std::printf("  (inspect any checkpoint directory with "
                     "hsinfo --inspect-checkpoint=<dir>)\n");
       }
@@ -374,21 +387,27 @@ int main(int argc, char** argv) {
                 svc.config().fair_admission ? "weighted_drr" : "off",
                 static_cast<unsigned long long>(svc.config().quantum),
                 svc.config().permits);
-    std::printf("  %-12s %-7s %9s %9s %10s %8s %8s %8s %8s\n", "tenant",
-                "weight", "computes", "xfers", "bytes", "elided", "gate",
-                "waits", "rejects");
     for (std::uint32_t t = 1; t <= svc.tenant_count(); ++t) {
       const service::TenantStats ts = svc.tenant_stats(t);
-      std::printf("  %-12s %-7u %9llu %9llu %10llu %8llu %8llu %8llu %8llu\n",
+      std::printf("  %s (weight %u): gate_passes=%llu gate_waits=%llu "
+                  "quota_rejections=%llu\n",
                   svc.tenant_config(t).name.c_str(), svc.tenant_config(t).weight,
-                  static_cast<unsigned long long>(ts.runtime.computes_enqueued),
-                  static_cast<unsigned long long>(ts.runtime.transfers_enqueued),
-                  static_cast<unsigned long long>(ts.runtime.bytes_transferred),
-                  static_cast<unsigned long long>(ts.runtime.transfers_elided),
                   static_cast<unsigned long long>(ts.gate_passes),
                   static_cast<unsigned long long>(ts.gate_waits),
                   static_cast<unsigned long long>(ts.quota_rejections));
+      print_counters(ts.runtime, {}, "   ");
     }
+  }
+
+  // Every counter of the table, after the probes above.
+  {
+    std::printf("\nruntime counters (all probes above):\n");
+    std::size_t row = 0;
+    for_each_counter(runtime.stats(),
+                     [&row](const char* name, std::uint64_t value) {
+      std::printf("  %-30s %12llu  %s\n", name,
+                  static_cast<unsigned long long>(value), kCounterDocs[row++]);
+    });
   }
 
   // Out-of-core governor probe: a dedicated runtime whose single card
@@ -423,15 +442,9 @@ int main(int argc, char** argv) {
     ooc.synchronize();
     ooc.buffer_instantiate(ids[1], card);
     ooc.buffer_instantiate(ids[2], card);
-    const RuntimeStats os = ooc.stats();
-    std::printf("\nout-of-core governor (probe: 3 x 4 KiB buffers through an "
-                "8 KiB card budget):\n");
-    std::printf("  evictions=%llu refetches=%llu spill_bytes_written=%llu "
-                "spill_bytes_dropped_clean=%llu\n",
-                static_cast<unsigned long long>(os.evictions),
-                static_cast<unsigned long long>(os.refetches),
-                static_cast<unsigned long long>(os.spill_bytes_written),
-                static_cast<unsigned long long>(os.spill_bytes_dropped_clean));
+    std::printf("\nout-of-core governor (probe on its own runtime: 3 x 4 KiB "
+                "buffers through an 8 KiB card budget):\n");
+    print_counters(ooc.stats());
   }
   return 0;
 }
