@@ -53,8 +53,6 @@ SimRuntimePtr pipeline_runtime(const sim::SimPlatform& platform,
   config.platform = platform.desc;
   config.device_link = platform.link;
   config.domain_links = platform.domain_links;
-  config.faults = fault_plan_from_env();
-  config.retry = retry_policy_from_env();
   config.coherence.pipeline_threshold = threshold;
   config.coherence.pipeline_chunk = chunk;
   return SimRuntimePtr(new Runtime(

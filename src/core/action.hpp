@@ -81,7 +81,7 @@ struct ActionRecord {
   /// Completion event; always present so cross-stream deps can attach.
   std::shared_ptr<EventState> completion = std::make_shared<EventState>();
 
-  enum class State { pending, dispatched, done };
+  enum class State : std::uint8_t { pending, dispatched, done };
   State state = State::pending;
 
   /// Completion ownership. Exactly one path may complete an action: the
@@ -102,13 +102,17 @@ struct ActionRecord {
   /// as a zero-cost no-op (never reached an executor; FIFO and event
   /// semantics unchanged).
   bool elided = false;
+  /// Set (under the governor lock) when process_completion released the
+  /// pins: a dispatch still pinning for this claimed action pins nothing
+  /// more, so no pin outlives the action.
+  bool pins_released = false;
 
   /// Residency pins taken at dispatch (Runtime::prepare_residency):
   /// (buffer, domain) incarnations that must not be evicted while this
-  /// action is in flight. Released exactly once in process_completion —
-  /// on success, failure, cancellation, and elision alike. One entry per
-  /// pin call, so duplicates (a compute with two operands on one buffer)
-  /// balance.
+  /// action is in flight. Guarded by the governor lock. Released exactly
+  /// once in process_completion — on success, failure, cancellation, and
+  /// elision alike. One entry per pin call, so duplicates (a compute with
+  /// two operands on one buffer) balance.
   std::vector<std::pair<BufferId, DomainId>> pins;
   /// Modeled seconds of out-of-core work charged to this action at
   /// dispatch: victim writeback performed to admit its operands plus

@@ -227,11 +227,6 @@ class Buffer {
   // that domain — the incarnation reappears transparently when an action
   // needs it. instantiate()/deinstantiate() clear the mark.
 
-  void mark_spilled(DomainId domain) {
-    const std::scoped_lock lock(mu_);
-    spilled_.insert(domain);
-  }
-
   /// Eviction's transition — drop the incarnation (and its validity) and
   /// set the spill mark — in ONE leaf-lock critical section, so readers
   /// of usable_in() can never observe the buffer as neither instantiated
@@ -567,9 +562,6 @@ class BufferDepIndex {
   void erase(const Operand& op, ActionId action);
 
   [[nodiscard]] bool empty() const noexcept { return segments_.empty(); }
-  [[nodiscard]] std::size_t segment_count() const noexcept {
-    return segments_.size();
-  }
 
  private:
   /// Entries touching [key, end). Segments are disjoint and sorted; a

@@ -13,11 +13,12 @@
 //    simulation against calibrated cost models — the stand-in for the
 //    paper's Xeon + Xeon Phi testbed.
 //
-// Both honor the runtime's fault model (RuntimeConfig::faults): injected
-// transfer faults are retried per RetryPolicy — with real backoff sleeps
-// on the threaded backend, virtual-time delays in the simulator — and
-// retry exhaustion or an injected device loss escalates to
-// Runtime::mark_domain_lost.
+// Neither decides what a transfer attempt does: each asks
+// Runtime::transfer_attempt, which owns the fault model
+// (RuntimeConfig::faults), link health, retry policy and escalation to
+// device loss, and pays the verdict in its own clock — a link stall or
+// backoff as wall time on the threaded backend (a retry as a timed
+// resubmit), as virtual time in the simulator.
 
 #include <functional>
 #include <memory>

@@ -505,15 +505,15 @@ double Runtime::evict_one_locked(DomainId domain, MemKind kind) {
   return stall_s;
 }
 
-void Runtime::govern_release_locked(BufferId id, DomainId domain) {
-  governor_.release(domain, id);
-}
-
 bool Runtime::release_pins(const std::shared_ptr<ActionRecord>& record) {
+  // Under gov_mu_ even when empty: a dispatch racing this claim (domain
+  // loss completes dispatched actions) may still be pinning, and must see
+  // the list closed rather than append a pin nobody will drop.
+  const std::scoped_lock gov(gov_mu_);
+  record->pins_released = true;
   if (record->pins.empty()) {
     return false;
   }
-  const std::scoped_lock gov(gov_mu_);
   for (const auto& [buffer, domain] : record->pins) {
     governor_.unpin(domain, buffer);
   }
@@ -614,6 +614,9 @@ void Runtime::prepare_residency(const std::shared_ptr<ActionRecord>& record) {
     bool admitted = false;
     {
       const std::scoped_lock gov(gov_mu_);
+      if (record->pins_released) {
+        return;  // claimed (domain loss) while this dispatch pinned
+      }
       if (governor_.resident(t.domain, t.buffer)) {
         governor_.pin(t.domain, t.buffer);
       } else {
@@ -630,8 +633,8 @@ void Runtime::prepare_residency(const std::shared_ptr<ActionRecord>& record) {
         buffers_.get(t.buffer).instantiate(t.domain);
         admitted = true;
       }
+      record->pins.emplace_back(t.buffer, t.domain);
     }
-    record->pins.emplace_back(t.buffer, t.domain);
     if (admitted) {
       if (AdmissionHook* hook =
               admission_hook_.load(std::memory_order_acquire)) {
@@ -650,7 +653,9 @@ void Runtime::prepare_residency(const std::shared_ptr<ActionRecord>& record) {
             }
           }
           governor_.release(t.domain, t.buffer);
-          record->pins.pop_back();
+          if (!record->pins_released) {
+            record->pins.pop_back();
+          }
           throw;
         }
       }
@@ -1335,6 +1340,7 @@ void Runtime::admit_prelinked(std::span<const PrelinkedAction> batch,
   struct Lane {
     StreamState* stream = nullptr;
     Residue residue;
+    std::size_t gated_bytes = 0;  ///< charged by this launch's records
   };
   std::vector<Lane> lanes;
   {
@@ -1359,14 +1365,28 @@ void Runtime::admit_prelinked(std::span<const PrelinkedAction> batch,
   // is released per record, not held across the batch: one thread
   // admitting an N-record batch while permits < N would self-deadlock
   // waiting on its own earlier acquires. `gated` stays set so completion
-  // still releases the byte budget.
+  // still releases the byte budget. The bytes a tenant's earlier records
+  // were charged are passed along: a blocking quota cannot wait for them,
+  // since they drain only after the whole launch admits.
   std::size_t gated = 0;
   try {
     for (; gated < batch.size(); ++gated) {
-      const std::shared_ptr<ActionRecord>& record = batch[gated].record;
-      record->graph = graph_id;
-      tag_and_gate(*lane_of(record->stream).stream, *record);
-      release_turn(*record);
+      ActionRecord& record = *batch[gated].record;
+      record.graph = graph_id;
+      Lane& lane = lane_of(record.stream);
+      const std::uint32_t tenant =
+          lane.stream->tenant.load(std::memory_order_relaxed);
+      std::size_t held = 0;
+      for (const Lane& l : lanes) {
+        if (l.stream->tenant.load(std::memory_order_relaxed) == tenant) {
+          held += l.gated_bytes;
+        }
+      }
+      tag_and_gate(*lane.stream, record, held);
+      if (record.gated) {
+        lane.gated_bytes += gate_bytes(record);
+      }
+      release_turn(record);
     }
   } catch (...) {
     // A refused record (quota_exceeded) refuses the whole launch. The
@@ -1474,7 +1494,7 @@ void Runtime::dispatch(const std::shared_ptr<ActionRecord>& record) {
     // Zero-cost completion through the normal path: the completion event
     // fires, the window/index retire, successors unblock — FIFO and
     // event semantics are exactly those of a real transfer. The executor
-    // is never involved, and crucially next_transfer_fault is never
+    // is never involved, and crucially transfer_attempt is never
     // consulted: fault decisions stay keyed to the transfers that
     // actually attempt the link, so a ScheduledFault aimed at this
     // transfer id is not consumed by a no-op.
@@ -1970,45 +1990,81 @@ Status Runtime::event_wait_host(
   return Status::ok();
 }
 
-// --- Fault hooks (executor interface) ---------------------------------------
+// --- Transfer attempts (executor interface) ---------------------------------
 
-FaultDecision Runtime::next_transfer_fault(DomainId domain,
-                                           std::uint64_t transfer,
-                                           int attempt) {
-  if (!injector_.enabled()) {
-    return {};  // keep the fault-free transfer hot path lock-free
+TransferAttempt Runtime::transfer_attempt(const ActionRecord& action,
+                                          DomainId sink, int attempt) {
+  using Verdict = TransferAttempt::Verdict;
+  if (!domain_alive(sink)) {
+    return {Verdict::dropped};  // lost while queued or backing off
   }
-  const FaultDecision decision = injector_.on_transfer(domain, transfer,
-                                                       attempt);
-  {
+  const TransferPayload& t = action.transfer;
+  if (t.peer != kHostDomain && !domain_alive(t.peer)) {
+    // The source incarnation is gone; without its bytes the transfer
+    // cannot run. Surfaces at the next sync like any device loss.
+    fail_action(action.id,
+                std::make_exception_ptr(Error(
+                    Errc::device_lost,
+                    "device->device transfer: source (peer) domain lost")));
+    return {Verdict::dropped};
+  }
+  FaultDecision fault;
+  if (injector_.enabled()) {  // keeps the fault-free hot path lock-free
+    fault = injector_.on_transfer(sink, action.transfer_seq, attempt);
     const std::scoped_lock lock(mutex_);
-    switch (decision.kind) {
+    LinkHealth& health = health_[sink.value];
+    switch (fault.kind) {
       case FaultKind::none:
-        ++health_[domain.value].successes;
-        health_sample(domain, 1.0);
+        ++health.successes;
+        health_sample(sink, 1.0);
         break;
       case FaultKind::transient_error:
         count(Counter::faults_injected);
-        health_sample(domain, 0.0);
+        health_sample(sink, 0.0);
         break;
       case FaultKind::link_stall:
         count(Counter::faults_injected);
-        ++health_[domain.value].stalls;
-        health_sample(domain, 0.5);  // succeeded, but late
+        ++health.stalls;
+        health_sample(sink, 0.5);  // succeeded, but late
         break;
       case FaultKind::device_loss:
+        // mark_domain_lost below pins the health at zero.
         count(Counter::faults_injected);
-        // mark_domain_lost (which the executor calls next) pins the
-        // health at zero; nothing to sample here.
         break;
     }
   }
-  return decision;
-}
-
-void Runtime::note_transfer_retry(DomainId domain) {
-  const std::scoped_lock lock(mutex_);
-  ++health_[domain.value].retries;
+  if (fault.kind == FaultKind::device_loss ||
+      (fault.kind == FaultKind::transient_error &&
+       attempt + 1 >= config_.retry.max_attempts)) {
+    // Injected loss, or the retry budget is exhausted: treat the link as
+    // gone for good.
+    mark_domain_lost(sink);
+    return {Verdict::dropped};
+  }
+  if (fault.kind == FaultKind::transient_error) {
+    count(Counter::transfers_retried);
+    {
+      const std::scoped_lock lock(mutex_);
+      ++health_[sink.value].retries;
+    }
+    return {.verdict = Verdict::retry,
+            .backoff_s = config_.retry.backoff_seconds(attempt + 1)};
+  }
+  // One decision per attempt however many chunks move: chunking must not
+  // multiply the injector's decision stream.
+  const CoherenceConfig& coh = config_.coherence;
+  std::size_t chunk = t.length;
+  if (t.peer != kHostDomain && t.length > coh.pipeline_threshold &&
+      coh.pipeline_chunk > 0) {
+    chunk = std::min(coh.pipeline_chunk, t.length);
+    const std::size_t chunks = (t.length + chunk - 1) / chunk;
+    if (chunks > 1) {
+      count(Counter::transfer_chunks, chunks);
+    }
+  }
+  return {.verdict = Verdict::run,
+          .stall_s = fault.kind == FaultKind::link_stall ? fault.stall_s : 0.0,
+          .chunk = chunk};
 }
 
 void Runtime::note_host_write(const void* proxy, std::size_t len) {
@@ -2182,7 +2238,8 @@ std::uint32_t Runtime::stream_tenant(StreamId stream) const {
   return stream_state(stream).tenant.load(std::memory_order_relaxed);
 }
 
-void Runtime::tag_and_gate(const StreamState& stream, ActionRecord& record) {
+void Runtime::tag_and_gate(const StreamState& stream, ActionRecord& record,
+                           std::size_t held) {
   const std::uint32_t tenant = stream.tenant.load(std::memory_order_relaxed);
   if (tenant == 0) {
     return;
@@ -2190,7 +2247,7 @@ void Runtime::tag_and_gate(const StreamState& stream, ActionRecord& record) {
   record.tenant = tenant;
   record.session = stream.session.load(std::memory_order_relaxed);
   if (AdmissionHook* hook = admission_hook_.load(std::memory_order_acquire)) {
-    hook->before_admit(tenant, record.type, gate_bytes(record));
+    hook->before_admit(tenant, record.type, gate_bytes(record), held);
     record.gated = true;
   }
 }

@@ -91,8 +91,8 @@ struct RuntimeConfig {
   /// Interconnect fault model: which transfers fail, stall, or take the
   /// device down (interconnect/fault.hpp). Disabled by default.
   FaultPlan faults;
-  /// How executors retry transient transfer failures before declaring
-  /// the device lost.
+  /// How transient transfer failures are retried before the device is
+  /// declared lost (see transfer_attempt).
   RetryPolicy retry;
   /// Link-health EWMA tuning for fault-aware placement
   /// (interconnect/health.hpp).
@@ -144,8 +144,11 @@ class CaptureSink {
 class AdmissionHook {
  public:
   virtual ~AdmissionHook() = default;
+  /// `held`: bytes the same graph launch already gated for `tenant` (0 on
+  /// eager enqueues). They cannot complete before this record admits, so
+  /// a blocking implementation must not wait for them to drain.
   virtual void before_admit(std::uint32_t tenant, ActionType type,
-                            std::size_t bytes) = 0;
+                            std::size_t bytes, std::size_t held) = 0;
   /// Called once the admission itself finished (the record is in its
   /// stream window) — the release point for a fair-turn permit acquired
   /// in before_admit. Runs outside all runtime locks; must not block.
@@ -172,6 +175,23 @@ class AdmissionHook {
     (void)domain;
     (void)bytes;
   }
+};
+
+/// The runtime's decision on one transfer attempt (Runtime::transfer_attempt).
+/// Executors pay it in their own clock.
+struct TransferAttempt {
+  enum class Verdict {
+    run,      ///< move the bytes, after `stall_s` of injected link stall
+    retry,    ///< transient failure: attempt again after `backoff_s`
+    dropped,  ///< the action already failed (its `done` is a no-op)
+  };
+  Verdict verdict = Verdict::run;
+  double stall_s = 0.0;
+  /// Bytes per chunk of each hop: the whole length, unless a
+  /// device->device move is pipelined in CoherenceConfig::pipeline_chunk
+  /// pieces.
+  std::size_t chunk = 0;
+  double backoff_s = 0.0;
 };
 
 /// One entry of a pre-linked (captured-graph) launch batch: a fresh record
@@ -208,8 +228,8 @@ class Runtime {
   /// in-flight action on its streams is failed exactly-once, one
   /// device_lost error is queued for the next synchronization point, and
   /// all further work targeting the domain is refused with
-  /// Errc::device_lost. Idempotent. Executors call this on injected
-  /// device loss and on transfer-retry exhaustion; applications may call
+  /// Errc::device_lost. Idempotent. transfer_attempt calls this on an
+  /// injected device loss and on retry exhaustion; applications may call
   /// it to take a device out of rotation.
   void mark_domain_lost(DomainId id);
   /// Moves a buffer off the (typically lost) domain `from`: the
@@ -500,19 +520,16 @@ class Runtime {
   /// Called by executors when a task body threw; captures the error for
   /// the next synchronization point and completes the action.
   void fail_action(ActionId id, std::exception_ptr error);
-  /// Decides the fate of attempt `attempt` of the transfer with stable
-  /// per-domain id `transfer` targeting `domain` (consults the
-  /// FaultInjector, counts injected faults, feeds the link-health EWMA).
-  /// Executors pass ActionRecord::transfer_seq as the id.
-  [[nodiscard]] FaultDecision next_transfer_fault(DomainId domain,
-                                                  std::uint64_t transfer,
-                                                  int attempt);
-  /// Folds one backoff retry of a transient transfer failure into the
-  /// health record of the link to `domain`.
-  void note_transfer_retry(DomainId domain);
-  [[nodiscard]] const RetryPolicy& retry_policy() const noexcept {
-    return config_.retry;
-  }
+  /// Decides attempt `attempt` (0-based) of transfer `action` into
+  /// `sink`: the one place a transfer consults the FaultInjector (keyed
+  /// by ActionRecord::transfer_seq, one decision per attempt however many
+  /// chunks it moves), samples link health, applies RetryPolicy, counts
+  /// transfers_retried and transfer_chunks, and escalates an injected
+  /// device loss or retry exhaustion to mark_domain_lost. A transfer
+  /// whose sink died while it queued, or a device->device move whose
+  /// peer is lost (failed with device_lost), is `dropped`.
+  [[nodiscard]] TransferAttempt transfer_attempt(const ActionRecord& action,
+                                                 DomainId sink, int attempt);
   [[nodiscard]] FaultInjector& fault_injector() noexcept { return injector_; }
   /// Host-wait rendezvous lock + condition variable, used by
   /// Executor::wait implementations. Since the sharded-locking refactor
@@ -654,10 +671,12 @@ class Runtime {
   /// Service-mode pre-admission: stamps the stream's tenant/session
   /// binding onto `record` and, when an admission hook is installed,
   /// runs before_admit (which may block for a fair-turn or throw
-  /// quota_exceeded) with the transfer length (0 for computes/syncs).
+  /// quota_exceeded) with the transfer length (0 for computes/syncs) and
+  /// the bytes `held` by earlier records of the same launch.
   /// Runs *before* any stream/shard lock is taken, so a blocked tenant
   /// holds nothing another tenant's enqueue or completion needs.
-  void tag_and_gate(const StreamState& stream, ActionRecord& record);
+  void tag_and_gate(const StreamState& stream, ActionRecord& record,
+                    std::size_t held = 0);
 
   /// Releases the fair-turn permit of a gated record whose admission
   /// finished (runs outside all runtime locks).
@@ -740,20 +759,19 @@ class Runtime {
   /// Errc::resource_exhausted when every resident incarnation is pinned.
   /// Returns the modeled writeback seconds (gov_mu_ held).
   double evict_one_locked(DomainId domain, MemKind kind);
-  /// Drops (id, domain) from the governor ledger, refunding its budget
-  /// charge (gov_mu_ held; no-op if absent).
-  void govern_release_locked(BufferId id, DomainId domain);
   /// Pins every incarnation `record` touches (sink-domain operands,
   /// transfer sink + d2d peer) so in-flight actions' operands are never
   /// eviction victims, re-admitting and re-uploading spilled read ranges
   /// on demand. Called from dispatch, before try_elide, outside all
-  /// locks; pins are recorded in record->pins and released exactly once
-  /// in process_completion. Throws to fail the action (budget cannot fit
+  /// locks; pins are recorded in record->pins (under gov_mu_) and
+  /// released exactly once in process_completion. Once they are
+  /// released — the action was claimed while its dispatch still pinned —
+  /// it pins nothing more. Throws to fail the action (budget cannot fit
   /// all pinned operands, or the admission hook vetoed a refetch).
   void prepare_residency(const std::shared_ptr<ActionRecord>& record);
-  /// Releases the pins recorded in `record->pins` (outside all locks).
-  /// Returns true when pins were actually released — capacity that a
-  /// deferred dispatch may now be able to claim.
+  /// Releases the pins recorded in `record->pins` and closes the list
+  /// (outside all locks). Returns true when pins were actually released
+  /// — capacity that a deferred dispatch may now be able to claim.
   bool release_pins(const std::shared_ptr<ActionRecord>& record);
   /// Re-dispatches actions parked by out-of-core backpressure (their
   /// operands could not be admitted because other in-flight actions

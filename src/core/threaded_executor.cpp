@@ -211,85 +211,56 @@ void ThreadedExecutor::run_transfer(const std::shared_ptr<ActionRecord>& action,
     return;
   }
   begin_work();
-  if (action->transfer.peer != kHostDomain) {
-    submit_peer_attempt(action, domain, 0, std::move(done));
-  } else {
-    submit_transfer_attempt(action, domain, 0, std::move(done));
-  }
+  submit_transfer(action, domain, 0, std::move(done));
 }
 
-void ThreadedExecutor::submit_peer_attempt(
-    std::shared_ptr<ActionRecord> action, DomainId sink, int failures,
-    CompletionFn done) {
+void ThreadedExecutor::submit_transfer(std::shared_ptr<ActionRecord> action,
+                                       DomainId sink, int attempt,
+                                       CompletionFn done) {
   const std::size_t copier =
       next_copier_.fetch_add(1, std::memory_order_relaxed) %
       copiers_->worker_count();
   copiers_->submit(copier, [this, copier, action = std::move(action), sink,
-                            failures, done = std::move(done)]() mutable {
-    if (!runtime_->domain_alive(sink)) {
+                            attempt, done = std::move(done)]() mutable {
+    const TransferAttempt a =
+        runtime_->transfer_attempt(*action, sink, attempt);
+    if (a.verdict == TransferAttempt::Verdict::dropped) {
       end_work();
-      done();
+      done();  // the runtime already failed the action: a no-op
       return;
     }
-    const DomainId peer = action->transfer.peer;
-    if (!runtime_->domain_alive(peer)) {
-      // The source incarnation is gone; without its bytes the transfer
-      // cannot run. Surfaces at the next sync like any device loss.
-      end_work();
-      runtime_->fail_action(
-          action->id,
-          std::make_exception_ptr(
-              Error(Errc::device_lost,
-                    "device->device transfer: source (peer) domain lost")));
-      return;
-    }
-    // One fault decision per attempt, keyed by the sink domain and the
-    // admission-time transfer id — chunking must not multiply the
-    // injector's decision stream.
-    const FaultDecision fault =
-        runtime_->next_transfer_fault(sink, action->transfer_seq, failures);
-    if (fault.kind == FaultKind::device_loss) {
-      end_work();
-      runtime_->mark_domain_lost(sink);
-      return;
-    }
-    if (fault.kind == FaultKind::transient_error) {
-      const RetryPolicy& retry = runtime_->retry_policy();
-      ++failures;
-      if (failures >= retry.max_attempts) {
-        end_work();
-        runtime_->mark_domain_lost(sink);
-        return;
-      }
-      runtime_->count(Counter::transfers_retried);
-      runtime_->note_transfer_retry(sink);
+    if (a.verdict == TransferAttempt::Verdict::retry) {
+      // Requeue instead of sleeping: the copier stays free for other
+      // domains' transfers while this one waits out its backoff (a
+      // sleeping copier would head-of-line block everything sharing it).
+      // The in-flight claim stays held so quiesce() outwaits the retry.
       retry_timer_->schedule_after(
-          retry.backoff_seconds(failures),
-          [this, action = std::move(action), sink, failures,
-           done = std::move(done)]() mutable {
-            submit_peer_attempt(std::move(action), sink, failures,
-                                std::move(done));
+          a.backoff_s, [this, action = std::move(action), sink, attempt,
+                        done = std::move(done)]() mutable {
+            submit_transfer(std::move(action), sink, attempt + 1,
+                            std::move(done));
           });
       return;
     }
-    if (fault.kind == FaultKind::link_stall) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(fault.stall_s));
+    if (a.stall_s > 0.0) {
+      // The attempt succeeds, just late: pay the added latency in wall
+      // time, then proceed with the copy.
+      std::this_thread::sleep_for(std::chrono::duration<double>(a.stall_s));
     }
-    const TransferPayload t = action->transfer;
-    const CoherenceConfig& coh = runtime_->config().coherence;
-    const std::size_t chunk =
-        (t.length > coh.pipeline_threshold && coh.pipeline_chunk > 0)
-            ? std::min(coh.pipeline_chunk, t.length)
-            : t.length;
-    const std::size_t count = (t.length + chunk - 1) / chunk;
-    if (count > 1) {
-      runtime_->count(Counter::transfer_chunks, count);
+    const TransferPayload& t = action->transfer;
+    if (t.peer == kHostDomain) {
+      runtime_->account_transfer_staging(t.length);
+      copy_hop(*action, sink, t.dir, 0, t.length);
+      end_work();
+      done();
+      return;
     }
     struct Joint {
       std::atomic<std::size_t> remaining{0};
       CompletionFn done;
     };
     auto joint = std::make_shared<Joint>();
+    const std::size_t count = (t.length + a.chunk - 1) / a.chunk;
     joint->remaining.store(count, std::memory_order_relaxed);
     joint->done = std::move(done);
     // Per-copier FIFO keeps hop 2 serial and in chunk order; picking the
@@ -297,38 +268,14 @@ void ThreadedExecutor::submit_peer_attempt(
     // pool has more than one, which is where the overlap comes from.
     const std::size_t hop2_copier = (copier + 1) % copiers_->worker_count();
     for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t off = i * chunk;
-      const std::size_t len = std::min(chunk, t.length - off);
+      const std::size_t off = i * a.chunk;
+      const std::size_t len = std::min(a.chunk, t.length - off);
       // Hop 1: peer -> host staging row, serial on this copier.
       runtime_->account_transfer_staging(len);
-      if (runtime_->domain_alive(peer)) {
-        std::byte* host = runtime_->buffer_local(t.buffer, kHostDomain,
-                                                 t.offset + off, len);
-        std::byte* src =
-            runtime_->buffer_local(t.buffer, peer, t.offset + off, len);
-        std::memcpy(host, src, len);
-      }
-      if (config_.time_dilation > 0.0) {
-        const double modeled = runtime_->link_for(peer).transfer_seconds(len);
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(modeled * config_.time_dilation));
-      }
+      copy_hop(*action, t.peer, XferDir::sink_to_src, off, len);
       // Hop 2: host staging row -> sink, chased chunk by chunk.
       copiers_->submit(hop2_copier, [this, action, sink, off, len, joint] {
-        const TransferPayload& tp = action->transfer;
-        if (runtime_->domain_alive(sink)) {
-          std::byte* host = runtime_->buffer_local(tp.buffer, kHostDomain,
-                                                   tp.offset + off, len);
-          std::byte* dst =
-              runtime_->buffer_local(tp.buffer, sink, tp.offset + off, len);
-          std::memcpy(dst, host, len);
-        }
-        if (config_.time_dilation > 0.0) {
-          const double modeled =
-              runtime_->link_for(sink).transfer_seconds(len);
-          std::this_thread::sleep_for(
-              std::chrono::duration<double>(modeled * config_.time_dilation));
-        }
+        copy_hop(*action, sink, XferDir::src_to_sink, off, len);
         if (joint->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
           end_work();
           joint->done();
@@ -338,77 +285,26 @@ void ThreadedExecutor::submit_peer_attempt(
   });
 }
 
-void ThreadedExecutor::submit_transfer_attempt(
-    std::shared_ptr<ActionRecord> action, DomainId domain, int failures,
-    CompletionFn done) {
-  const std::size_t copier =
-      next_copier_.fetch_add(1, std::memory_order_relaxed) %
-      copiers_->worker_count();
-  copiers_->submit(copier, [this, action = std::move(action), domain, failures,
-                            done = std::move(done)]() mutable {
-    if (!runtime_->domain_alive(domain)) {
-      // Lost while we were queued or backing off; the runtime already
-      // failed the action.
-      end_work();
-      done();
-      return;
-    }
-    const FaultDecision fault = runtime_->next_transfer_fault(
-        domain, action->transfer_seq, failures);
-    if (fault.kind == FaultKind::device_loss) {
-      end_work();
-      runtime_->mark_domain_lost(domain);
-      return;
-    }
-    if (fault.kind == FaultKind::transient_error) {
-      const RetryPolicy& retry = runtime_->retry_policy();
-      ++failures;
-      if (failures >= retry.max_attempts) {
-        // Retry budget exhausted: treat the link as gone for good.
-        end_work();
-        runtime_->mark_domain_lost(domain);
-        return;
-      }
-      runtime_->count(Counter::transfers_retried);
-      runtime_->note_transfer_retry(domain);
-      // Requeue instead of sleeping: the copier stays free for other
-      // domains' transfers while this one waits out its backoff (a
-      // sleeping copier would head-of-line block everything sharing it).
-      // The in-flight claim stays held so quiesce() outwaits the retry.
-      retry_timer_->schedule_after(
-          retry.backoff_seconds(failures),
-          [this, action = std::move(action), domain, failures,
-           done = std::move(done)]() mutable {
-            submit_transfer_attempt(std::move(action), domain, failures,
-                                    std::move(done));
-          });
-      return;
-    }
-    if (fault.kind == FaultKind::link_stall) {
-      // The attempt succeeds, just late: pay the added latency in wall
-      // time, then proceed with the copy.
-      std::this_thread::sleep_for(std::chrono::duration<double>(fault.stall_s));
-    }
-    const TransferPayload& t = action->transfer;
-    std::byte* host_side =
-        runtime_->buffer_local(t.buffer, kHostDomain, t.offset, t.length);
-    std::byte* sink_side =
-        runtime_->buffer_local(t.buffer, domain, t.offset, t.length);
-    runtime_->account_transfer_staging(t.length);
-    if (t.dir == XferDir::src_to_sink) {
-      std::memcpy(sink_side, host_side, t.length);
+void ThreadedExecutor::copy_hop(const ActionRecord& action, DomainId device,
+                                XferDir dir, std::size_t off,
+                                std::size_t len) {
+  const TransferPayload& t = action.transfer;
+  if (runtime_->domain_alive(device)) {
+    std::byte* host =
+        runtime_->buffer_local(t.buffer, kHostDomain, t.offset + off, len);
+    std::byte* dev =
+        runtime_->buffer_local(t.buffer, device, t.offset + off, len);
+    if (dir == XferDir::src_to_sink) {
+      std::memcpy(dev, host, len);
     } else {
-      std::memcpy(host_side, sink_side, t.length);
+      std::memcpy(host, dev, len);
     }
-    if (config_.time_dilation > 0.0) {
-      const double modeled =
-          runtime_->link_for(domain).transfer_seconds(t.length);
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(modeled * config_.time_dilation));
-    }
-    end_work();
-    done();
-  });
+  }
+  if (config_.time_dilation > 0.0) {
+    const double modeled = runtime_->link_for(device).transfer_seconds(len);
+    std::this_thread::sleep_for(
+        std::chrono::duration<double>(modeled * config_.time_dilation));
+  }
 }
 
 void ThreadedExecutor::wait(const std::function<bool()>& ready) {

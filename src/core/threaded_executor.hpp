@@ -62,24 +62,25 @@ class ThreadedExecutor final : public Executor {
                    CompletionFn done);
   void run_transfer(const std::shared_ptr<ActionRecord>& action,
                     CompletionFn done);
-  /// One copier-side transfer attempt. `failures` counts transient
-  /// failures so far; a further transient schedules a timed resubmit via
-  /// the retry timer instead of sleeping the copier (which would
-  /// head-of-line block unrelated transfers sharing it). The in-flight
-  /// claim (begin_work) is held across resubmits.
-  void submit_transfer_attempt(std::shared_ptr<ActionRecord> action,
-                               DomainId domain, int failures,
-                               CompletionFn done);
-  /// Device->device (peer) transfer attempt: the two-hop staging path,
-  /// pipelined for real across copiers. The peer->host hop runs its
-  /// chunks serially on the attempt's copier; each landed chunk enqueues
-  /// its host->sink hop onto the *next* copier (per-copier FIFO keeps
-  /// hop 2 serial and ordered), so with >= 2 copiers the hops overlap.
-  /// One fault decision per attempt, keyed by the sink domain, exactly
-  /// like the single-hop path. Completion fires when the last hop-2
-  /// chunk lands.
-  void submit_peer_attempt(std::shared_ptr<ActionRecord> action,
-                           DomainId sink, int failures, CompletionFn done);
+  /// The one transfer entry point: queues attempt `attempt` on a copier,
+  /// which asks Runtime::transfer_attempt for its verdict and pays it in
+  /// wall time. A retry is a timed resubmit via the retry timer instead
+  /// of a sleeping copier (which would head-of-line block unrelated
+  /// transfers sharing it); the in-flight claim (begin_work) is held
+  /// across resubmits. A device->device move is the two-hop staging
+  /// path, pipelined for real across copiers: the peer->host hop runs its
+  /// chunks serially on the attempt's copier, and each landed chunk
+  /// enqueues its host->sink hop onto the *next* copier (per-copier FIFO
+  /// keeps hop 2 serial and ordered), so with >= 2 copiers the hops
+  /// overlap. Completion fires when the last hop-2 chunk lands.
+  void submit_transfer(std::shared_ptr<ActionRecord> action, DomainId sink,
+                       int attempt, CompletionFn done);
+  /// The copy of one hop: [off, off + len) of `action`'s range between
+  /// the host and `device`, in direction `dir` (skipped when `device` is
+  /// lost), then, with time_dilation, the link's modeled time for `len`
+  /// bytes slept in scaled wall time.
+  void copy_hop(const ActionRecord& action, DomainId device, XferDir dir,
+                std::size_t off, std::size_t len);
 
   // In-flight work accounting for quiesce(): a claimed-failed action's
   // body may still be running on a pool thread after its window entry

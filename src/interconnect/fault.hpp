@@ -19,13 +19,16 @@
 //     and every run, regardless of thread interleaving. (The injector
 //     log records decisions in consumption order, which on the threaded
 //     backend can be a permutation of the deterministic assignment.)
-//   * RetryPolicy — how executors respond: exponential backoff up to
-//     max_attempts, after which the device is declared lost.
+//   * RetryPolicy — how a transient failure is answered: exponential
+//     backoff up to max_attempts, after which the device is declared
+//     lost.
 //
-// Executors honor decisions in their own notion of time: the threaded
-// backend pays stalls and backoffs in wall time (backoffs via a timed
-// resubmit, so a copier is never parked), the simulator schedules them
-// in virtual time.
+// Runtime::transfer_attempt is the one consumer: it draws the decision,
+// applies the retry policy and escalates losses, and hands the executor
+// a verdict (run after a stall, retry after a backoff, or dropped). The
+// executors pay it in their own notion of time: the threaded backend in
+// wall time (a backoff as a timed resubmit, so a copier is never
+// parked), the simulator in virtual time.
 
 #include <algorithm>
 #include <cstdint>
@@ -83,7 +86,7 @@ struct FaultPlan {
   }
 };
 
-/// How executors retry failed transfers.
+/// How failed transfer attempts are retried (Runtime::transfer_attempt).
 struct RetryPolicy {
   int max_attempts = 3;          ///< total attempts before declaring loss
   double base_backoff_s = 100e-6;

@@ -115,7 +115,7 @@ const Service::TenantState& Service::state(std::uint32_t tenant) const {
 // --- AdmissionHook ---------------------------------------------------------
 
 void Service::before_admit(std::uint32_t tenant, ActionType type,
-                           std::size_t bytes) {
+                           std::size_t bytes, std::size_t held) {
   TenantState& t = state(tenant);
   // Quota first, gate second: a rejected enqueue must not consume a fair
   // turn, and a blocked one must not stall other tenants while it waits.
@@ -130,9 +130,11 @@ void Service::before_admit(std::uint32_t tenant, ActionType type,
       return true;
     };
     if (!try_charge()) {
-      // A single transfer larger than the whole quota can never fit:
-      // blocking on it would wait forever, so it fails in either mode.
-      if (t.config.quota_mode == QuotaMode::fail || bytes > limit) {
+      // Bytes held by the same graph launch drain only after it admits,
+      // so a transfer that does not fit beside them — a single transfer
+      // larger than the whole quota included — could wait forever: it
+      // fails in either mode.
+      if (t.config.quota_mode == QuotaMode::fail || bytes + held > limit) {
         t.quota_rejections.fetch_add(1, std::memory_order_relaxed);
         throw Error(Errc::quota_exceeded,
                     "tenant '" + t.config.name + "' bytes-in-flight quota (" +

@@ -100,7 +100,7 @@ class Service final : private AdmissionHook {
 
   // AdmissionHook: quota check (block or fail) then fair-turn acquire.
   void before_admit(std::uint32_t tenant, ActionType type,
-                    std::size_t bytes) override;
+                    std::size_t bytes, std::size_t held) override;
   // Releases the gate permit once the admission call returned.
   void after_admit(std::uint32_t tenant, ActionType type) noexcept override;
   // Returns in-flight bytes at action completion.

@@ -35,7 +35,9 @@ struct TenantConfig {
   /// Max transfer bytes admitted and not yet completed (0 = unlimited).
   /// Honors `quota_mode`: blocking waits for the runtime to drain (the
   /// wait pumps the executor, so it is safe on the single-threaded sim
-  /// backend too); fail throws Errc::quota_exceeded.
+  /// backend too); fail throws Errc::quota_exceeded. A transfer that
+  /// cannot fit beside the bytes its own graph launch already holds
+  /// fails in either mode.
   std::size_t max_bytes_in_flight = 0;
   /// Max bytes of this tenant's buffers instantiated on device domains
   /// (0 = unlimited). Always fail-fast, like max_streams: incarnations

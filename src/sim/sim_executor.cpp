@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
 
 #include "core/runtime.hpp"
 
@@ -105,11 +104,7 @@ void SimExecutor::execute(const std::shared_ptr<ActionRecord>& action,
         done();  // aliased away (§V)
         return;
       }
-      if (action->transfer.peer != kHostDomain) {
-        start_peer_attempt(action, domain, 0, std::move(done));
-      } else {
-        start_transfer_attempt(action, domain, 0, std::move(done));
-      }
+      start_transfer(action, domain, 0, std::move(done));
       return;
     }
     case ActionType::event_wait:
@@ -133,97 +128,23 @@ void SimExecutor::execute(const std::shared_ptr<ActionRecord>& action,
   }
 }
 
-void SimExecutor::start_transfer_attempt(
-    const std::shared_ptr<ActionRecord>& action, DomainId domain,
-    int failures, CompletionFn done) {
-  if (!runtime_->domain_alive(domain)) {
-    // Lost while queued or backing off; the runtime already failed the
-    // action (the claim makes `done` a no-op).
-    done();
-    return;
-  }
-  const FaultDecision fault = runtime_->next_transfer_fault(
-      domain, action->transfer_seq, failures);
-  if (fault.kind == FaultKind::device_loss) {
-    runtime_->mark_domain_lost(domain);
-    return;
-  }
-  if (fault.kind == FaultKind::transient_error) {
-    const RetryPolicy& retry = runtime_->retry_policy();
-    ++failures;
-    if (failures >= retry.max_attempts) {
-      // Retry budget exhausted: treat the link as gone for good.
-      runtime_->mark_domain_lost(domain);
-      return;
-    }
-    runtime_->count(Counter::transfers_retried);
-    runtime_->note_transfer_retry(domain);
-    // Exponential backoff in virtual time, then re-attempt.
-    queue_.schedule_after(
-        retry.backoff_seconds(failures),
-        [this, action, domain, failures, done = std::move(done)]() mutable {
-          start_transfer_attempt(action, domain, failures, std::move(done));
-        });
-    return;
-  }
-  const TransferPayload& t = action->transfer;
-  const double staging = runtime_->account_transfer_staging(t.length);
-  double duration =
-      runtime_->link_for(domain).transfer_seconds(t.length) + staging;
-  if (fault.kind == FaultKind::link_stall) {
-    duration += fault.stall_s;  // the attempt succeeds, just late
-  }
-  if (failures == 0) {
-    duration += action->ooc_stall_s;  // out-of-core spill/refetch time
-  }
-  dma_resource(domain, t.dir)
-      .submit(duration,
-              [this, action, domain] {
-                if (!config_.execute_payloads ||
-                    !runtime_->domain_alive(domain)) {
-                  return;
-                }
-                const TransferPayload& p = action->transfer;
-                std::byte* host = runtime_->buffer_local(
-                    p.buffer, kHostDomain, p.offset, p.length);
-                std::byte* sink = runtime_->buffer_local(
-                    p.buffer, domain, p.offset, p.length);
-                if (p.dir == XferDir::src_to_sink) {
-                  std::memcpy(sink, host, p.length);
-                } else {
-                  std::memcpy(host, sink, p.length);
-                }
-              },
-              std::move(done));
-}
-
-namespace {
-
-/// Shared state of one chunked device->device move. The two hop lambdas
-/// (stored as std::functions so they can resubmit themselves) form a
-/// reference cycle through the owning shared_ptr; completion breaks it.
-struct PeerPipeline {
+struct SimExecutor::Relay {
   std::shared_ptr<ActionRecord> action;
   DomainId sink{0};
-  DomainId peer{0};
-  std::size_t chunk = 0;      ///< chunk size in bytes (== total when K = 1)
-  std::size_t total = 0;
-  std::size_t count = 0;      ///< K, the number of chunks
-  std::size_t hop1_next = 0;  ///< next chunk to submit on the peer->host hop
-  std::size_t hop1_done = 0;  ///< chunks landed in the host staging row
-  std::size_t hop2_next = 0;  ///< next chunk to submit on the host->sink hop
-  std::size_t hop2_done = 0;
-  bool hop2_busy = false;     ///< hop 2 serialized within the action
+  std::size_t chunk = 0;   ///< bytes per chunk (the last may be short)
+  std::size_t count = 0;   ///< number of chunks
+  std::size_t landed = 0;  ///< chunks hop 1 staged in the host row
+  std::size_t sent = 0;    ///< chunks handed to hop 2
+  bool busy = false;       ///< hop 2 carries one chunk at a time
   double start_s = 0.0;
-  double stall_s = 0.0;       ///< link_stall fault, charged to the first chunk
   CompletionFn done;
-  std::function<void()> advance_hop1;
-  std::function<void()> try_hop2;
 
   [[nodiscard]] std::size_t len_of(std::size_t i) const {
-    return std::min(chunk, total - i * chunk);
+    return std::min(chunk, action->transfer.length - i * chunk);
   }
 };
+
+namespace {
 
 std::uint64_t micros(double seconds) {
   return static_cast<std::uint64_t>(std::max(0.0, seconds) * 1e6);
@@ -231,152 +152,124 @@ std::uint64_t micros(double seconds) {
 
 }  // namespace
 
-void SimExecutor::start_peer_attempt(
-    const std::shared_ptr<ActionRecord>& action, DomainId sink, int failures,
-    CompletionFn done) {
-  if (!runtime_->domain_alive(sink)) {
-    done();
+void SimExecutor::start_transfer(const std::shared_ptr<ActionRecord>& action,
+                                 DomainId sink, int attempt,
+                                 CompletionFn done) {
+  const TransferAttempt a = runtime_->transfer_attempt(*action, sink, attempt);
+  if (a.verdict == TransferAttempt::Verdict::dropped) {
+    done();  // the runtime already failed the action: a no-op
     return;
   }
-  const DomainId peer = action->transfer.peer;
-  if (!runtime_->domain_alive(peer)) {
-    // The source incarnation is gone; without its bytes the transfer
-    // cannot run. Surfaces at the next sync like any device loss.
-    runtime_->fail_action(
-        action->id,
-        std::make_exception_ptr(
-            Error(Errc::device_lost,
-                  "device->device transfer: source (peer) domain lost")));
-    return;
-  }
-  // One fault decision per attempt, keyed by the sink domain and the
-  // admission-time transfer id, exactly like the single-hop path:
-  // chunking must not multiply the injector's decision stream.
-  const FaultDecision fault =
-      runtime_->next_transfer_fault(sink, action->transfer_seq, failures);
-  if (fault.kind == FaultKind::device_loss) {
-    runtime_->mark_domain_lost(sink);
-    return;
-  }
-  if (fault.kind == FaultKind::transient_error) {
-    const RetryPolicy& retry = runtime_->retry_policy();
-    ++failures;
-    if (failures >= retry.max_attempts) {
-      runtime_->mark_domain_lost(sink);
-      return;
-    }
-    runtime_->count(Counter::transfers_retried);
-    runtime_->note_transfer_retry(sink);
+  if (a.verdict == TransferAttempt::Verdict::retry) {
+    // Backoff in virtual time, then re-attempt.
     queue_.schedule_after(
-        retry.backoff_seconds(failures),
-        [this, action, sink, failures, done = std::move(done)]() mutable {
-          start_peer_attempt(action, sink, failures, std::move(done));
+        a.backoff_s,
+        [this, action, sink, attempt, done = std::move(done)]() mutable {
+          start_transfer(action, sink, attempt + 1, std::move(done));
         });
     return;
   }
+  // The first hop's first chunk pays the injected stall and, on the first
+  // attempt, the out-of-core spill/refetch time.
   const TransferPayload& t = action->transfer;
-  const CoherenceConfig& coh = runtime_->config().coherence;
-  auto p = std::make_shared<PeerPipeline>();
-  p->action = action;
-  p->sink = sink;
-  p->peer = peer;
-  p->total = t.length;
-  p->chunk = (t.length > coh.pipeline_threshold && coh.pipeline_chunk > 0)
-                 ? std::min(coh.pipeline_chunk, t.length)
-                 : t.length;
-  p->count = (t.length + p->chunk - 1) / p->chunk;
-  p->start_s = queue_.now();
-  p->stall_s = fault.kind == FaultKind::link_stall ? fault.stall_s : 0.0;
-  if (failures == 0) {
-    p->stall_s += action->ooc_stall_s;  // out-of-core spill/refetch time
+  const DomainId first = t.peer == kHostDomain ? sink : t.peer;
+  double duration = runtime_->link_for(first).transfer_seconds(a.chunk) +
+                    runtime_->account_transfer_staging(a.chunk);
+  duration += a.stall_s;
+  if (attempt == 0) {
+    duration += action->ooc_stall_s;
   }
-  p->done = std::move(done);
-  if (p->count > 1) {
-    runtime_->count(Counter::transfer_chunks, p->count);
-  }
-  // Hop 1 (peer -> host staging), chunks chained serially.
-  p->advance_hop1 = [this, p] {
-    if (p->hop1_next >= p->count) {
-      return;
-    }
-    const std::size_t i = p->hop1_next++;
-    const std::size_t off = i * p->chunk;
-    const std::size_t len = p->len_of(i);
-    double duration = runtime_->link_for(p->peer).transfer_seconds(len) +
-                      runtime_->account_transfer_staging(len);
-    if (i == 0) {
-      duration += p->stall_s;
-    }
-    dma_resource(p->peer, XferDir::sink_to_src)
+  if (t.peer == kHostDomain) {
+    dma_resource(sink, t.dir)
         .submit(duration,
-                [this, p, off, len] {
-                  if (!config_.execute_payloads ||
-                      !runtime_->domain_alive(p->peer)) {
-                    return;
-                  }
-                  const TransferPayload& tp = p->action->transfer;
-                  std::byte* host = runtime_->buffer_local(
-                      tp.buffer, kHostDomain, tp.offset + off, len);
-                  std::byte* src = runtime_->buffer_local(
-                      tp.buffer, p->peer, tp.offset + off, len);
-                  std::memcpy(host, src, len);
+                [this, action, sink] {
+                  copy_hop(*action, sink, action->transfer.dir, 0,
+                           action->transfer.length);
                 },
-                [p] {
-                  ++p->hop1_done;
-                  p->advance_hop1();
-                  p->try_hop2();
-                });
-  };
-  // Hop 2 (host staging -> sink): starts as soon as a chunk has landed,
-  // serialized within the action so a multi-engine link cannot give one
-  // logical transfer more than one engine's bandwidth per hop.
-  p->try_hop2 = [this, p] {
-    if (p->hop2_busy || p->hop2_next >= p->hop1_done) {
-      return;
-    }
-    const std::size_t i = p->hop2_next++;
-    p->hop2_busy = true;
-    const std::size_t off = i * p->chunk;
-    const std::size_t len = p->len_of(i);
-    dma_resource(p->sink, XferDir::src_to_sink)
-        .submit(runtime_->link_for(p->sink).transfer_seconds(len),
-                [this, p, off, len] {
-                  if (!config_.execute_payloads ||
-                      !runtime_->domain_alive(p->sink)) {
-                    return;
-                  }
-                  const TransferPayload& tp = p->action->transfer;
-                  std::byte* host = runtime_->buffer_local(
-                      tp.buffer, kHostDomain, tp.offset + off, len);
-                  std::byte* dst = runtime_->buffer_local(
-                      tp.buffer, p->sink, tp.offset + off, len);
-                  std::memcpy(dst, host, len);
-                },
-                [this, p] {
-                  p->hop2_busy = false;
-                  if (++p->hop2_done == p->count) {
-                    if (p->count > 1) {
-                      const double serial =
-                          runtime_->link_for(p->peer).transfer_seconds(
-                              p->total) +
-                          runtime_->link_for(p->sink).transfer_seconds(
-                              p->total);
-                      // Micros; serial/actual is the hop-overlap ratio.
-                      runtime_->count(Counter::pipeline_serial_us,
-                                      micros(serial));
-                      runtime_->count(Counter::pipeline_actual_us,
-                                      micros(queue_.now() - p->start_s));
-                    }
-                    auto finish = std::move(p->done);
-                    p->advance_hop1 = nullptr;  // break the shared_ptr cycle
-                    p->try_hop2 = nullptr;
-                    finish();
-                  } else {
-                    p->try_hop2();
-                  }
-                });
-  };
-  p->advance_hop1();
+                std::move(done));
+    return;
+  }
+  auto relay = std::make_shared<Relay>();
+  relay->action = action;
+  relay->sink = sink;
+  relay->chunk = a.chunk;
+  relay->count = (t.length + a.chunk - 1) / a.chunk;
+  relay->start_s = queue_.now();
+  relay->done = std::move(done);
+  relay_hop1(relay, 0, duration);
+}
+
+void SimExecutor::copy_hop(const ActionRecord& action, DomainId device,
+                           XferDir dir, std::size_t off, std::size_t len) {
+  if (!config_.execute_payloads || !runtime_->domain_alive(device)) {
+    return;
+  }
+  const TransferPayload& t = action.transfer;
+  std::byte* host =
+      runtime_->buffer_local(t.buffer, kHostDomain, t.offset + off, len);
+  std::byte* dev = runtime_->buffer_local(t.buffer, device, t.offset + off, len);
+  if (dir == XferDir::src_to_sink) {
+    std::memcpy(dev, host, len);
+  } else {
+    std::memcpy(host, dev, len);
+  }
+}
+
+void SimExecutor::relay_hop1(const std::shared_ptr<Relay>& relay,
+                             std::size_t i, double duration) {
+  const DomainId peer = relay->action->transfer.peer;
+  const std::size_t off = i * relay->chunk;
+  const std::size_t len = relay->len_of(i);
+  dma_resource(peer, XferDir::sink_to_src)
+      .submit(duration,
+              [this, relay, peer, off, len] {
+                copy_hop(*relay->action, peer, XferDir::sink_to_src, off, len);
+              },
+              [this, relay, peer, i] {
+                ++relay->landed;
+                if (i + 1 < relay->count) {
+                  const std::size_t next = relay->len_of(i + 1);
+                  relay_hop1(relay, i + 1,
+                             runtime_->link_for(peer).transfer_seconds(next) +
+                                 runtime_->account_transfer_staging(next));
+                }
+                relay_hop2(relay);
+              });
+}
+
+void SimExecutor::relay_hop2(const std::shared_ptr<Relay>& relay) {
+  if (relay->busy || relay->sent == relay->landed) {
+    return;
+  }
+  relay->busy = true;
+  const std::size_t i = relay->sent++;
+  const std::size_t off = i * relay->chunk;
+  const std::size_t len = relay->len_of(i);
+  dma_resource(relay->sink, XferDir::src_to_sink)
+      .submit(runtime_->link_for(relay->sink).transfer_seconds(len),
+              [this, relay, off, len] {
+                copy_hop(*relay->action, relay->sink, XferDir::src_to_sink,
+                         off, len);
+              },
+              [this, relay] {
+                relay->busy = false;
+                if (relay->sent < relay->count) {
+                  relay_hop2(relay);
+                  return;
+                }
+                if (relay->count > 1) {
+                  const std::size_t total = relay->action->transfer.length;
+                  const double serial =
+                      runtime_->link_for(relay->action->transfer.peer)
+                          .transfer_seconds(total) +
+                      runtime_->link_for(relay->sink).transfer_seconds(total);
+                  // Micros; serial/actual is the hop-overlap ratio.
+                  runtime_->count(Counter::pipeline_serial_us, micros(serial));
+                  runtime_->count(Counter::pipeline_actual_us,
+                                  micros(queue_.now() - relay->start_s));
+                }
+                relay->done();
+              });
 }
 
 void SimExecutor::wait(const std::function<bool()>& ready) {

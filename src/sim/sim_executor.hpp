@@ -65,25 +65,32 @@ class SimExecutor final : public Executor {
   [[nodiscard]] SimResource& stream_resource(StreamId stream);
   [[nodiscard]] SimResource& dma_resource(DomainId domain, XferDir dir);
 
-  /// One transfer attempt: consults the fault oracle, then either submits
-  /// to the DMA server, schedules a virtual-time backoff retry of itself,
-  /// or escalates to domain loss. `failures` counts transient failures so
-  /// far.
-  void start_transfer_attempt(const std::shared_ptr<ActionRecord>& action,
-                              DomainId domain, int failures,
-                              CompletionFn done);
+  /// The one transfer entry point: asks Runtime::transfer_attempt for
+  /// attempt `attempt`'s verdict and pays it in virtual time — a backoff
+  /// before re-attempting, or the move itself on the DMA servers. A
+  /// device->device move is the star topology's two hops through the
+  /// host, relayed chunk by chunk so chunk i's host->sink hop overlaps
+  /// chunk i+1's peer->host hop; each hop stays serial within the action
+  /// (one engine's bandwidth), so the speedup asymptote is 2x over the
+  /// unchunked two-hop move (the one-chunk case of the same relay).
+  void start_transfer(const std::shared_ptr<ActionRecord>& action,
+                      DomainId sink, int attempt, CompletionFn done);
 
-  /// Device->device (peer) transfer attempt: the star topology's two-hop
-  /// staging path, pipelined. Above CoherenceConfig::pipeline_threshold
-  /// the move is split into pipeline_chunk-sized pieces so chunk i's
-  /// host->sink hop overlaps chunk i+1's peer->host hop; each hop stays
-  /// serial within the action (one engine's bandwidth), so the speedup
-  /// asymptote is 2x over the unchunked two-hop baseline (which is the
-  /// K=1 degenerate case of the same code path). One fault decision per
-  /// attempt, keyed by the sink domain — identical to the single-hop path
-  /// so injector decision streams stay stable.
-  void start_peer_attempt(const std::shared_ptr<ActionRecord>& action,
-                          DomainId sink, int failures, CompletionFn done);
+  /// The copy of one hop: [off, off + len) of `action`'s range between
+  /// the host and `device`, in direction `dir`; skipped when payloads are
+  /// off or `device` is lost.
+  void copy_hop(const ActionRecord& action, DomainId device, XferDir dir,
+                std::size_t off, std::size_t len);
+
+  /// Sequencing state of one device->device move (sim_executor.cpp).
+  struct Relay;
+  /// Submits chunk `i` of hop 1 (peer -> host), taking `duration`; its
+  /// completion submits chunk i+1 and offers the landed chunk to hop 2.
+  void relay_hop1(const std::shared_ptr<Relay>& relay, std::size_t i,
+                  double duration);
+  /// Submits the next landed chunk on hop 2 (host -> sink) unless hop 2
+  /// is busy; completes the move after its last chunk.
+  void relay_hop2(const std::shared_ptr<Relay>& relay);
 
   SimExecutorConfig config_;
   Runtime* runtime_ = nullptr;

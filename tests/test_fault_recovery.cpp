@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -43,14 +44,11 @@ std::unique_ptr<Runtime> make_runtime(bool simulated, std::size_t cards = 1,
                                       FaultPlan faults = {},
                                       RetryPolicy retry = {},
                                       ThreadedExecutorConfig texec = {},
-                                      bool elide = true) {
+                                      CoherenceConfig coherence = {}) {
   RuntimeConfig config;
   config.faults = std::move(faults);
   config.retry = retry;
-  // The determinism/chaos tests below pump the same bytes repeatedly and
-  // need every enqueued transfer to actually hit the wire so the fault
-  // plan is consumed as written; they opt out of transfer elision.
-  config.coherence.elide = elide;
+  config.coherence = coherence;
   if (simulated) {
     const sim::SimPlatform platform = sim::hsw_plus_knc(cards);
     config.platform = platform.desc;
@@ -61,6 +59,13 @@ std::unique_ptr<Runtime> make_runtime(bool simulated, std::size_t cards = 1,
   return std::make_unique<Runtime>(config,
                                    std::make_unique<ThreadedExecutor>(texec));
 }
+
+// The determinism/chaos tests below pump the same bytes repeatedly and
+// need every enqueued transfer to actually hit the wire so the fault plan
+// is consumed as written: no transfer elision. Device->device moves above
+// 2 KiB go in 1 KiB chunks, so small buffers exercise the pipelined path.
+const CoherenceConfig kOnTheWire{
+    .elide = false, .pipeline_threshold = 2048, .pipeline_chunk = 1024};
 
 class FaultRecovery : public ::testing::TestWithParam<bool> {};
 
@@ -219,6 +224,14 @@ RuntimeStats pump_transfers(Runtime& rt, std::vector<InjectedFault>& log) {
     rt.buffer_instantiate(id, DomainId{d});
     streams.push_back(rt.stream_create(DomainId{d}, CpuMask::first_n(2)));
   }
+  // Card 1 -> card 2 moves (the runtime needs two cards), all on card 2's
+  // stream so their host staging rows are ordered: the whole 4 KiB
+  // buffer, chunked under kOnTheWire, and its first 1 KiB in one piece.
+  std::vector<double> peer_data(512, 2.0);
+  const BufferId peer_buf =
+      rt.buffer_create(peer_data.data(), peer_data.size() * sizeof(double));
+  rt.buffer_instantiate(peer_buf, DomainId{1});
+  rt.buffer_instantiate(peer_buf, DomainId{2});
   for (int iter = 0; iter < 6; ++iter) {
     for (std::size_t d = 0; d < streams.size(); ++d) {
       (void)rt.enqueue_transfer(streams[d], data[d].data(),
@@ -226,6 +239,10 @@ RuntimeStats pump_transfers(Runtime& rt, std::vector<InjectedFault>& log) {
       (void)rt.enqueue_transfer(streams[d], data[d].data(),
                                 128 * sizeof(double), XferDir::sink_to_src);
     }
+    (void)rt.enqueue_transfer_from(streams[1], peer_data.data(),
+                                   512 * sizeof(double), DomainId{1});
+    (void)rt.enqueue_transfer_from(streams[1], peer_data.data(),
+                                   128 * sizeof(double), DomainId{1});
   }
   rt.synchronize();
   log = rt.fault_injector().canonical_log();
@@ -241,9 +258,9 @@ TEST(FaultDeterminism, CanonicalLogMatchesAcrossBackends) {
 
   std::vector<InjectedFault> threaded_log;
   std::vector<InjectedFault> sim_log;
-  auto threaded = make_runtime(false, 2, plan, {}, {}, /*elide=*/false);
+  auto threaded = make_runtime(false, 2, plan, {}, {}, kOnTheWire);
   const RuntimeStats ts = pump_transfers(*threaded, threaded_log);
-  auto simulated = make_runtime(true, 2, plan, {}, {}, /*elide=*/false);
+  auto simulated = make_runtime(true, 2, plan, {}, {}, kOnTheWire);
   const RuntimeStats ss = pump_transfers(*simulated, sim_log);
 
   // Same plan + same workload -> the same transfers fault, with the same
@@ -257,6 +274,9 @@ TEST(FaultDeterminism, CanonicalLogMatchesAcrossBackends) {
   EXPECT_EQ(threaded_log, sim_log);
   EXPECT_EQ(ts.faults_injected, ss.faults_injected);
   EXPECT_EQ(ts.transfers_retried, ss.transfers_retried);
+  // The device->device moves went through the same decision, chunked.
+  EXPECT_GT(ss.transfer_chunks, 0u);
+  EXPECT_EQ(ts.transfer_chunks, ss.transfer_chunks);
 }
 
 TEST(FaultDeterminism, ThreadedRunsAreRepeatable) {
@@ -265,9 +285,9 @@ TEST(FaultDeterminism, ThreadedRunsAreRepeatable) {
   plan.p_transient = 0.12;
   std::vector<InjectedFault> first;
   std::vector<InjectedFault> second;
-  (void)pump_transfers(*make_runtime(false, 2, plan, {}, {}, /*elide=*/false),
+  (void)pump_transfers(*make_runtime(false, 2, plan, {}, {}, kOnTheWire),
                        first);
-  (void)pump_transfers(*make_runtime(false, 2, plan, {}, {}, /*elide=*/false),
+  (void)pump_transfers(*make_runtime(false, 2, plan, {}, {}, kOnTheWire),
                        second);
   EXPECT_GT(first.size(), 0u);
   EXPECT_EQ(first, second);
@@ -522,7 +542,7 @@ TEST(DomainLossStress, SimulatedChaosClaimsEachActionOnce) {
   plan.p_transient = 0.1;
   plan.p_stall = 0.1;
   plan.schedule = {{DomainId{1}, 9, 0, FaultKind::device_loss}};
-  auto rt = make_runtime(true, 2, plan, {}, {}, /*elide=*/false);
+  auto rt = make_runtime(true, 2, plan, {}, {}, kOnTheWire);
 
   std::vector<double> x1(256, 1.0);
   std::vector<double> x2(256, 1.0);
@@ -559,6 +579,36 @@ TEST(DomainLossStress, SimulatedChaosClaimsEachActionOnce) {
             enqueued);
   EXPECT_EQ(st.domains_lost, 1u);
   EXPECT_FALSE(rt->domain_alive(DomainId{1}));
+  EXPECT_TRUE(rt->domain_alive(DomainId{2}));
+}
+
+TEST_P(FaultRecovery, DeviceToDeviceFromALostPeerFailsWithDeviceLost) {
+  auto rt = make_runtime(GetParam(), 2, {}, {}, {}, kOnTheWire);
+  std::vector<double> x(256, 1.0);
+  const BufferId id = rt->buffer_create(x.data(), x.size() * sizeof(double));
+  rt->buffer_instantiate(id, DomainId{1});
+  rt->buffer_instantiate(id, DomainId{2});
+  const StreamId s2 = rt->stream_create(DomainId{2}, CpuMask::first_n(2));
+  rt->mark_domain_lost(DomainId{1});
+  (void)rt->clear_pending_errors();  // the loss itself
+
+  // The sink is alive, so the move is admitted; its bytes died with the
+  // peer, so the attempt fails the action instead of running.
+  (void)rt->enqueue_transfer(s2, x.data(), x.size() * sizeof(double),
+                             XferDir::src_to_sink);
+  (void)rt->enqueue_transfer_from(s2, x.data(), x.size() * sizeof(double),
+                                  DomainId{1});
+  const Status st = rt->synchronize(5.0);
+  EXPECT_EQ(st.code(), Errc::device_lost);
+  EXPECT_NE(st.message().find("source (peer) domain lost"), std::string::npos)
+      << st.message();
+  EXPECT_FALSE(rt->has_pending_error());
+
+  const RuntimeStats stats = rt->stats();
+  EXPECT_EQ(stats.actions_failed, 1u);
+  EXPECT_EQ(stats.actions_completed + stats.actions_failed +
+                stats.actions_cancelled,
+            stats.transfers_enqueued);
   EXPECT_TRUE(rt->domain_alive(DomainId{2}));
 }
 

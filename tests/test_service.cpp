@@ -552,33 +552,38 @@ TEST(SessionCapture, LaunchOnLostDomainChargesNoBytesInFlight) {
 }
 
 TEST(SessionCapture, LaunchRefusedByQuotaRefundsEarlierRecords) {
-  // The third transfer of the launch breaks a fail-fast byte quota: the
-  // launch is refused whole, and the two transfers gated before the
-  // refusal get their charges back.
-  auto rt = sim_runtime();
-  Service svc(*rt);
-  const std::uint32_t t =
-      svc.tenant_create({.name = "t", .max_bytes_in_flight = 8192});
-  auto session = svc.open_session(t);
-  const StreamId s = session->stream_create(DomainId{1}, CpuMask::first_n(2));
-  std::vector<double> data(4096, 1.0);
-  session->buffer_create("x", data.data(), data.size() * sizeof(double));
-  session->buffer_instantiate("x", DomainId{1});
-  auto capture = session->begin_capture();
-  for (std::size_t i = 0; i < 3; ++i) {
-    (void)session->enqueue_transfer(s, data.data() + 512 * i, 4096,
-                                    XferDir::src_to_sink);
+  // The third transfer of the launch breaks the byte quota: the launch is
+  // refused whole, and the two transfers gated before the refusal get
+  // their charges back. A blocking quota refuses too: the bytes in the
+  // way are the launch's own, which cannot drain before it admits.
+  for (const QuotaMode mode : {QuotaMode::fail, QuotaMode::block}) {
+    SCOPED_TRACE(mode == QuotaMode::fail ? "fail" : "block");
+    auto rt = sim_runtime();
+    Service svc(*rt);
+    const std::uint32_t t = svc.tenant_create(
+        {.name = "t", .max_bytes_in_flight = 8192, .quota_mode = mode});
+    auto session = svc.open_session(t);
+    const StreamId s =
+        session->stream_create(DomainId{1}, CpuMask::first_n(2));
+    std::vector<double> data(4096, 1.0);
+    session->buffer_create("x", data.data(), data.size() * sizeof(double));
+    session->buffer_instantiate("x", DomainId{1});
+    auto capture = session->begin_capture();
+    for (std::size_t i = 0; i < 3; ++i) {
+      (void)session->enqueue_transfer(s, data.data() + 512 * i, 4096,
+                                      XferDir::src_to_sink);
+    }
+    graph::GraphExec exec(*rt, capture->finish());
+    try {
+      (void)exec.launch();
+      ADD_FAILURE() << "expected quota_exceeded";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), Errc::quota_exceeded);
+    }
+    EXPECT_EQ(svc.tenant_stats(t).bytes_in_flight, 0u);
+    EXPECT_EQ(rt->stats().transfers_enqueued, 0u);
+    session->close();
   }
-  graph::GraphExec exec(*rt, capture->finish());
-  try {
-    (void)exec.launch();
-    ADD_FAILURE() << "expected quota_exceeded";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), Errc::quota_exceeded);
-  }
-  EXPECT_EQ(svc.tenant_stats(t).bytes_in_flight, 0u);
-  EXPECT_EQ(rt->stats().transfers_enqueued, 0u);
-  session->close();
 }
 
 TEST(SessionCapture, CannotCaptureAnotherSessionsStreams) {
