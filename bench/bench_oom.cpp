@@ -6,8 +6,8 @@
 // tile resident; over-budget runs complete out-of-core: the memory
 // governor spills LRU-idle tiles (dirty ranges sync home, clean drops
 // are free), demand re-fetch restores spilled operands at dispatch, and
-// backpressure parks actions whose operands cannot be admitted while
-// every victim is pinned by in-flight work. The reproduction target is
+// backpressure parks actions whose operands do not fit beside the bytes
+// in-flight work pins. The reproduction target is
 // the *shape*: virtual time grows smoothly with spill traffic instead
 // of falling off an "out of memory" cliff, and no run ever throws.
 //
@@ -133,13 +133,18 @@ int main() {
   // Acceptance counters for bench/check_perf_smoke.py: the tightest
   // (4x over-budget) factor must have completed, must actually have
   // gone out-of-core, and no point of the sweep may have raised
-  // Errc::data_loss (the dirty-drop guard).
+  // Errc::data_loss (the dirty-drop guard). Its dispatch attempts and
+  // parks are exact in simulation, so a parking storm (many wakeups per
+  // action) fails the gate even where virtual time hides it.
   report::note_counter("oom_overbudget_completed",
                        tightest.gflops > 0.0 ? 1 : 0);
   report::note_counter("oom_evictions", tightest.stats.evictions);
   report::note_counter("oom_refetches", tightest.stats.refetches);
   report::note_counter("oom_spill_bytes_written",
                        tightest.stats.spill_bytes_written);
+  report::note_counter("oom_dispatch_attempts",
+                       tightest.stats.dispatch_attempts);
+  report::note_counter("oom_dispatch_parks", tightest.stats.dispatch_parks);
   report::note_counter("oom_data_loss_errors", data_loss_errors);
   hs::report::write_json("oom");
   return 0;

@@ -17,6 +17,12 @@ they are held to the tighter virtual_regression bound, and the bench's
 own acceptance counters (chunked two-hop >= 1.7x, CG bytes-moved
 reduction >= 30% with bit-identical iterates) fail the gate outright.
 
+The out-of-core sweep's tightest point also reports its dispatch
+attempts and parks (BENCH_oom.json counters). Both are exact in
+simulation and held to their baseline exactly, so a parking storm —
+parked actions re-dispatched on every release — fails the gate even
+where virtual time barely moves.
+
 Checkpoint rows (BENCH_checkpoint.json) are validity-map-driven byte
 counts — also deterministic, also held to virtual_regression — and the
 checkpoint_incremental_lt_full acceptance counter (incremental epochs
@@ -168,6 +174,11 @@ def main():
         failures.append(("oom", "spill_traffic", evictions, refetches, 1.0))
     if data_loss != 0:
         failures.append(("oom", "data_loss_errors", data_loss, 0, 1.0))
+    for key in ("oom_dispatch_attempts", "oom_dispatch_parks"):
+        if key not in oc:
+            failures.append(("oom", f"{key} missing", 0, 1, 1.0))
+            continue
+        check("oom_dispatch", key, float(oc[key]), unit="count", bound=1.0)
 
     if checked == 0:
         raise SystemExit("baseline matched no measured rows — "

@@ -71,8 +71,10 @@
   X(spill_bytes_dropped_clean, global,                                       \
     "valid-but-clean bytes evictions dropped without a copy")                \
   X(refetches, global, "spilled incarnations re-admitted at dispatch")       \
+  X(dispatch_attempts, global,                                               \
+    "dispatch calls: first dispatches plus wakeups from the wait list")      \
   X(dispatch_parks, global,                                                  \
-    "dispatches parked: other in-flight actions pinned every victim")
+    "dispatches parked: unpinned operands did not fit beside others' pins")
 
 // Scope column helper: keeps its argument for `tenant` rows only.
 #define HS_COUNTER_IF_tenant(...) __VA_ARGS__

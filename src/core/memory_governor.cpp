@@ -21,31 +21,4 @@ std::optional<BufferId> MemoryGovernor::pick_victim(DomainId domain,
   return victim;
 }
 
-bool MemoryGovernor::has_external_pins(
-    DomainId domain, MemKind kind,
-    const std::vector<std::pair<BufferId, DomainId>>& ours) const {
-  // Count our own pins per buffer in this domain; a resident whose pin
-  // count exceeds ours is held by someone else.
-  std::map<std::uint32_t, std::uint32_t> mine;
-  for (const auto& [buffer, pin_domain] : ours) {
-    if (pin_domain == domain) {
-      ++mine[buffer.value];
-    }
-  }
-  const auto begin = residents_.lower_bound({domain.value, 0});
-  const auto end = residents_.upper_bound({domain.value, UINT32_MAX});
-  for (auto it = begin; it != end; ++it) {
-    const Resident& r = it->second;
-    if (r.kind != kind || r.pins == 0) {
-      continue;
-    }
-    const auto own = mine.find(it->first.second);
-    const std::uint32_t owned = own == mine.end() ? 0 : own->second;
-    if (r.pins > owned) {
-      return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace hs

@@ -12,7 +12,6 @@
 #include <map>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "core/types.hpp"
 
@@ -27,8 +26,14 @@ class MemoryGovernor {
     std::uint64_t last_use = 0;   ///< governor tick of the last touch (LRU)
   };
 
+  /// The resident entry for (domain, buffer); nullptr when absent.
+  [[nodiscard]] const Resident* find(DomainId domain, BufferId buffer) const {
+    const auto it = residents_.find(key(domain, buffer));
+    return it == residents_.end() ? nullptr : &it->second;
+  }
+
   [[nodiscard]] bool resident(DomainId domain, BufferId buffer) const {
-    return residents_.count(key(domain, buffer)) != 0;
+    return find(domain, buffer) != nullptr;
   }
 
   /// Inserts (domain, buffer) with `pins` initial pins and charges its
@@ -42,7 +47,11 @@ class MemoryGovernor {
     r.pins = pins;
     r.last_use = ++tick_;
     residents_.emplace(key(domain, buffer), r);
-    used_[{domain.value, kind}] += bytes;
+    Ledger& ledger = ledgers_[{domain.value, kind}];
+    ledger.used += bytes;
+    if (pins > 0) {
+      ledger.pinned += bytes;
+    }
   }
 
   /// Erases (domain, buffer) and refunds its ledger charge. No-op when
@@ -52,7 +61,12 @@ class MemoryGovernor {
     if (it == residents_.end()) {
       return;
     }
-    used_[{domain.value, it->second.kind}] -= it->second.bytes;
+    const Resident& r = it->second;
+    Ledger& ledger = ledgers_[{domain.value, r.kind}];
+    ledger.used -= r.bytes;
+    if (r.pins > 0) {
+      ledger.pinned -= r.bytes;
+    }
     residents_.erase(it);
   }
 
@@ -60,7 +74,9 @@ class MemoryGovernor {
   /// recency touch). Pre-condition: resident.
   void pin(DomainId domain, BufferId buffer) {
     Resident& r = residents_.at(key(domain, buffer));
-    ++r.pins;
+    if (r.pins++ == 0) {
+      ledgers_[{domain.value, r.kind}].pinned += r.bytes;
+    }
     r.last_use = ++tick_;
   }
 
@@ -68,8 +84,9 @@ class MemoryGovernor {
   /// been destroyed while the action was in flight).
   void unpin(DomainId domain, BufferId buffer) {
     const auto it = residents_.find(key(domain, buffer));
-    if (it != residents_.end() && it->second.pins > 0) {
-      --it->second.pins;
+    if (it != residents_.end() && it->second.pins > 0 &&
+        --it->second.pins == 0) {
+      ledgers_[{domain.value, it->second.kind}].pinned -= it->second.bytes;
     }
   }
 
@@ -82,9 +99,16 @@ class MemoryGovernor {
     }
   }
 
+  /// Bytes charged against (domain, kind).
   [[nodiscard]] std::size_t used(DomainId domain, MemKind kind) const {
-    const auto it = used_.find({domain.value, kind});
-    return it == used_.end() ? 0 : it->second;
+    return ledger(domain, kind).used;
+  }
+
+  /// Bytes of (domain, kind) residents that at least one in-flight
+  /// action pins: what no eviction can reclaim until those actions
+  /// complete. Kept incrementally, so a fit test costs one lookup.
+  [[nodiscard]] std::size_t pinned(DomainId domain, MemKind kind) const {
+    return ledger(domain, kind).pinned;
   }
 
   /// Least-recently-used unpinned incarnation charged against
@@ -92,19 +116,11 @@ class MemoryGovernor {
   [[nodiscard]] std::optional<BufferId> pick_victim(DomainId domain,
                                                     MemKind kind) const;
 
-  /// True when some pinned resident charged against (domain, kind)
-  /// holds pins beyond those listed in `ours` — i.e. another in-flight
-  /// action will release capacity later, so a dispatch that cannot
-  /// admit its operands now can park and retry instead of failing.
-  [[nodiscard]] bool has_external_pins(
-      DomainId domain, MemKind kind,
-      const std::vector<std::pair<BufferId, DomainId>>& ours) const;
-
   /// Bytes charged for (domain, buffer); 0 when absent (eviction
   /// notification payloads).
   [[nodiscard]] std::size_t bytes_of(DomainId domain, BufferId buffer) const {
-    const auto it = residents_.find(key(domain, buffer));
-    return it == residents_.end() ? 0 : it->second.bytes;
+    const Resident* r = find(domain, buffer);
+    return r == nullptr ? 0 : r->bytes;
   }
 
  private:
@@ -115,8 +131,17 @@ class MemoryGovernor {
     return {domain.value, buffer.value};
   }
 
+  struct Ledger {
+    std::size_t used = 0;    ///< bytes of every resident
+    std::size_t pinned = 0;  ///< bytes of residents with pins > 0
+  };
+  [[nodiscard]] Ledger ledger(DomainId domain, MemKind kind) const {
+    const auto it = ledgers_.find({domain.value, kind});
+    return it == ledgers_.end() ? Ledger{} : it->second;
+  }
+
   std::map<Key, Resident> residents_;
-  std::map<std::pair<std::uint32_t, MemKind>, std::size_t> used_;
+  std::map<std::pair<std::uint32_t, MemKind>, Ledger> ledgers_;
   std::uint64_t tick_ = 0;
 };
 

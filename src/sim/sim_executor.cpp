@@ -169,16 +169,13 @@ void SimExecutor::start_transfer(const std::shared_ptr<ActionRecord>& action,
         });
     return;
   }
-  // The first hop's first chunk pays the injected stall and, on the first
-  // attempt, the out-of-core spill/refetch time.
+  // The first hop's first chunk pays the injected stall and the
+  // out-of-core spill/refetch time: only the attempt that runs gets here.
   const TransferPayload& t = action->transfer;
   const DomainId first = t.peer == kHostDomain ? sink : t.peer;
-  double duration = runtime_->link_for(first).transfer_seconds(a.chunk) +
-                    runtime_->account_transfer_staging(a.chunk);
-  duration += a.stall_s;
-  if (attempt == 0) {
-    duration += action->ooc_stall_s;
-  }
+  const double duration = runtime_->link_for(first).transfer_seconds(a.chunk) +
+                          runtime_->account_transfer_staging(a.chunk) +
+                          a.stall_s + action->ooc_stall_s;
   if (t.peer == kHostDomain) {
     dma_resource(sink, t.dir)
         .submit(duration,
