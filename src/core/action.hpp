@@ -106,6 +106,12 @@ struct ActionRecord {
   /// pins: a dispatch still pinning for this claimed action pins nothing
   /// more, so no pin outlives the action.
   bool pins_released = false;
+  /// Set (under the governor lock) while this action's completion owes
+  /// the out-of-core wait list a wake pass even if it releases no pins:
+  /// a pass woke it and its dispatch has not pinned or parked again yet
+  /// (the bytes that pass promised it are unused), or a refetch veto
+  /// dropped pins it had taken.
+  bool wake_owed = false;
 
   /// Residency pins taken at dispatch (Runtime::prepare_residency):
   /// (buffer, domain) incarnations that must not be evicted while this
